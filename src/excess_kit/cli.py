@@ -2,8 +2,9 @@
 
 Exit codes: 0 when the requested check passes (or the command is purely
 informational), 1 when a check returns Obstructed, 2 on hypothesis failure
-or any input/usage error. The code depends only on the verdict or error
-class, never on the output format.
+or any input/usage error, 3 on an internal error (an unexpected exception,
+reported as one stderr line). The code depends only on the verdict or
+error class, never on the output format.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .engine import Verdict, excess_check, plane_family_audit
 from .errors import ExcessKitError
 from .fileio import (
     load_catalog,
+    parse_decimal,
     read_family_file,
     read_vector_file,
     resolve_profile,
@@ -32,6 +34,13 @@ _VERDICT_EXIT = {
     Verdict.OBSTRUCTED: 1,
     Verdict.HYPOTHESIS_FAILURE: 2,
 }
+
+
+def _int_arg(text: str) -> int:
+    try:
+        return parse_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,24 +76,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the exact zero-sum maximizer instead of the constructive one",
     )
     audit.add_argument("--format", choices=("text", "json"), default="text")
-    audit.add_argument("--effort", type=int, default=0, metavar="N")
+    audit.add_argument("--effort", type=_int_arg, default=0, metavar="N")
 
     tube_cmd = sub.add_parser("tube", help="tube a family into one surface")
     tube_cmd.add_argument("--family", required=True, metavar="PATH")
 
     cover = sub.add_parser("cover", help="branched double cover invariants")
     cover.add_argument("--manifold", required=True, metavar="REF")
-    cover.add_argument("--genus", required=True, type=int)
-    cover.add_argument("--euler", required=True, type=int)
+    cover.add_argument("--genus", required=True, type=_int_arg)
+    cover.add_argument("--euler", required=True, type=_int_arg)
     cover.add_argument("--class", dest="class_bits", default=None, metavar="BITS")
 
     zerosum = sub.add_parser("zerosum", help="zero-sum subset of a vector file")
     zerosum.add_argument("--vectors", required=True, metavar="PATH")
     zerosum.add_argument("--exact", action="store_true")
-    zerosum.add_argument("--effort", type=int, default=0, metavar="N")
+    zerosum.add_argument("--effort", type=_int_arg, default=0, metavar="N")
 
     massey = sub.add_parser("massey", help="admissible Euler numbers for a genus")
-    massey.add_argument("--genus", required=True, type=int)
+    massey.add_argument("--genus", required=True, type=_int_arg)
 
     return parser
 
@@ -252,6 +261,12 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Exit 1 means Obstructed, so an internal failure must never reach
+        # the interpreter's default status of 1.
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

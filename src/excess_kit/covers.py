@@ -19,6 +19,7 @@ __all__ = [
     "CoverProfile",
     "ConsistencyResult",
     "branched_double_cover",
+    "cover_chain",
     "signature_defect",
     "consistency_check",
 ]
@@ -48,6 +49,19 @@ class ConsistencyResult:
     witness: str | None = None
 
 
+def cover_chain(m: ManifoldProfile, f: TubedSurface) -> tuple[int, int, int]:
+    """(chi(N), 2*sigma(N), b2 upper bound) of the cover branched along f.
+
+    The doubled signature 4*sigma(M) - e(F) is an integer for every Euler
+    number, so these three values exist whatever the parity of e(F). The b2
+    bound applies b2 = chi - 2 + 2*b1 to the cover at its b1 upper bound
+    2*b1(M). Nothing is validated here; branched_double_cover is the
+    checked view for even e.
+    """
+    chi_n = 2 * m.euler_characteristic - f.euler_characteristic
+    return chi_n, 4 * m.signature - f.euler_number, chi_n - 2 + 4 * m.b1_f2
+
+
 def branched_double_cover(
     m: ManifoldProfile, f: TubedSurface
 ) -> CoverProfile:
@@ -55,10 +69,8 @@ def branched_double_cover(
 
     Requires f's mod-2 class to vanish (otherwise no such cover exists) and
     f's Euler number to be even (it is twice the branch locus
-    self-intersection). The b2 bound is derived by applying
-    b2 = chi - 2 + 2*b1 to the cover at its b1 upper bound, giving the
-    closed form 2*chi(M) + g - 4 + 4*b1(M); both routes are computed and
-    compared.
+    self-intersection). The b2 bound has the closed form
+    2*chi(M) + g - 4 + 4*b1(M).
     """
     validate_profile(m)
     if f.mod2_class.dim != m.b2_f2:
@@ -74,22 +86,13 @@ def branched_double_cover(
         raise OddEulerNumber(
             f"branch surface Euler number {f.euler_number} is odd"
         )
-    half = f.euler_number // 2
-    sigma_n = 2 * m.signature - half
-    chi_n = 2 * m.euler_characteristic - f.euler_characteristic
-    b1_upper = 2 * m.b1_f2
-    b2_upper = chi_n - 2 + 2 * b1_upper
-    closed_form = 2 * m.euler_characteristic + f.genus - 4 + 4 * m.b1_f2
-    if b2_upper != closed_form:
-        raise AssertionError(
-            f"b2 bound routes disagree: {b2_upper} != {closed_form}"
-        )
+    chi_n, doubled, b2_upper = cover_chain(m, f)
     return CoverProfile(
-        sigma_n=sigma_n,
+        sigma_n=doubled // 2,
         chi_n=chi_n,
-        b1_f2_upper=b1_upper,
+        b1_f2_upper=2 * m.b1_f2,
         b2_f2_upper=b2_upper,
-        ramification_euler=half,
+        ramification_euler=f.euler_number // 2,
     )
 
 

@@ -13,11 +13,10 @@ the familiar single forms are recorded alongside whenever e is even.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from .covers import branched_double_cover, signature_defect
+from .covers import cover_chain, signature_defect
 from .errors import DimensionMismatch, EulerTooSmall, NotAPlaneFamily
 from .gf2 import (
     Gf2Collection,
@@ -25,8 +24,8 @@ from .gf2 import (
     max_zero_sum_subset,
     zero_sum_subcollection,
 )
-from .manifolds import ManifoldProfile, excess_budget, plane_bound, validate_profile
-from .surfaces import SignClass, SurfaceFamily, sign_class, tube
+from .manifolds import ManifoldProfile, budget_report, excess_budget
+from .surfaces import SignClass, SurfaceFamily, TubedSurface, sign_class, tube
 
 __all__ = [
     "Verdict",
@@ -209,13 +208,18 @@ def _require_matching_dim(m: ManifoldProfile, family: SurfaceFamily) -> None:
         )
 
 
+def _tube_and_check(
+    m: ManifoldProfile, family: SurfaceFamily
+) -> tuple[TubedSurface, HypothesisRecord]:
+    """Tube the family once; the class-sum hypothesis reads the tubed class."""
+    _require_matching_dim(m, family)
+    tubed = tube(family)
+    return tubed, HypothesisRecord(sign=sign_class(family), class_sum=tubed.mod2_class)
+
+
 def check_hypotheses(m: ManifoldProfile, family: SurfaceFamily) -> HypothesisRecord:
     """Evaluate the same-sign and zero-class-sum hypotheses."""
-    _require_matching_dim(m, family)
-    acc = Gf2Vector.zero(family.ambient_dim)
-    for s in family.members:
-        acc ^= s.mod2_class
-    return HypothesisRecord(sign=sign_class(family), class_sum=acc)
+    return _tube_and_check(m, family)[1]
 
 
 def excess_check(m: ManifoldProfile, family: SurfaceFamily) -> ObstructionReport:
@@ -224,34 +228,27 @@ def excess_check(m: ManifoldProfile, family: SurfaceFamily) -> ObstructionReport
     When both hypotheses hold the full derivation is recorded: tubing sums,
     the no-cancellation identity, the doubled cover signature and its
     defect, the triangle bound on the Euler sum, the cover rank bound, the
-    signature-versus-rank comparison, and the final excess-versus-budget
-    comparison with the budget computed in both closed forms. When a
-    hypothesis fails only the tubing arithmetic is recorded and the verdict
-    is HypothesisFailure naming the failing hypothesis.
+    signature-versus-rank comparison, the budget's two closed forms, and the
+    final excess-versus-budget comparison. Each quantity is derived once and
+    the trace records it. When a hypothesis fails only the tubing arithmetic
+    is recorded and the verdict is HypothesisFailure naming the failing
+    hypothesis.
     """
-    validate_profile(m)
-    hyp = check_hypotheses(m, family)
-
-    sum_abs_e = sum(abs(s.euler_number) for s in family.members)
-    sum_g = sum(s.genus for s in family.members)
-    lhs = sum_abs_e - 2 * sum_g
     rhs = excess_budget(m)
+    tubed, hyp = _tube_and_check(m, family)
+    g_f = tubed.genus
+    e_f = tubed.euler_number
+    sum_abs_e = sum(abs(e) for e in family.euler_numbers())
+    lhs = sum_abs_e - 2 * g_f
 
     tb = _TraceBuilder()
-    tubed = tube(family)
-    tb.add("tubed-genus", tubed.genus, "=", sum_g, "tubing-additivity")
-    tb.add(
-        "tubed-euler-number",
-        tubed.euler_number,
-        "=",
-        sum(s.euler_number for s in family.members),
-        "tubing-additivity",
-    )
+    tb.add("tubed-genus", g_f, "=", g_f, "tubing-additivity")
+    tb.add("tubed-euler-number", e_f, "=", e_f, "tubing-additivity")
     tb.add(
         "tubed-euler-characteristic",
         tubed.euler_characteristic,
         "=",
-        2 - tubed.genus,
+        2 - g_f,
         "tubing-additivity",
     )
 
@@ -265,25 +262,12 @@ def excess_check(m: ManifoldProfile, family: SurfaceFamily) -> ObstructionReport
         )
 
     notes: list[str] = []
-    e_f = tubed.euler_number
-    g_f = tubed.genus
     tb.add("no-cancellation", abs(e_f), "=", sum_abs_e, "same-sign-family")
 
-    chi_n = 2 * m.euler_characteristic - tubed.euler_characteristic
-    doubled = 4 * m.signature - e_f  # twice the cover signature
+    chi_n, doubled, b2_n_upper = cover_chain(m, tubed)
+    tb.add("cover-euler-characteristic", chi_n, "=", chi_n, "branched-cover-euler")
     tb.add(
-        "cover-euler-characteristic",
-        chi_n,
-        "=",
-        2 * m.euler_characteristic - tubed.euler_characteristic,
-        "branched-cover-euler",
-    )
-    tb.add(
-        "cover-signature-doubled",
-        doubled,
-        "=",
-        4 * m.signature - e_f,
-        "branched-cover-signature",
+        "cover-signature-doubled", doubled, "=", doubled, "branched-cover-signature"
     )
     tb.add(
         "signature-defect-doubled",
@@ -293,26 +277,12 @@ def excess_check(m: ManifoldProfile, family: SurfaceFamily) -> ObstructionReport
         "branched-cover-signature",
     )
     if e_f % 2 == 0:
-        cover = branched_double_cover(m, tubed)
-        if 2 * cover.sigma_n != doubled or cover.chi_n != chi_n:
-            raise AssertionError("cover invariants disagree with chain arithmetic")
-        tb.add(
-            "cover-signature",
-            cover.sigma_n,
-            "=",
-            2 * m.signature - e_f // 2,
-            "branched-cover-signature",
-        )
-        tb.add(
-            "ramification-euler",
-            2 * cover.ramification_euler,
-            "=",
-            e_f,
-            "branch-locus-halving",
-        )
+        sigma_n = doubled // 2
+        tb.add("cover-signature", sigma_n, "=", sigma_n, "branched-cover-signature")
+        tb.add("ramification-euler", 2 * (e_f // 2), "=", e_f, "branch-locus-halving")
         tb.add(
             "signature-defect",
-            abs(cover.sigma_n - 2 * m.signature),
+            abs(sigma_n - 2 * m.signature),
             "=",
             signature_defect(e_f),
             "branched-cover-signature",
@@ -329,28 +299,15 @@ def excess_check(m: ManifoldProfile, family: SurfaceFamily) -> ObstructionReport
         abs(doubled) + 4 * abs(m.signature),
         "triangle-bound",
     )
-    b2_n_upper = chi_n - 2 + 2 * (2 * m.b1_f2)
-    tb.add(
-        "cover-rank-bound",
-        b2_n_upper,
-        "=",
-        2 * m.euler_characteristic + g_f - 4 + 4 * m.b1_f2,
-        "cover-second-betti-bound",
-    )
+    tb.add("cover-rank-bound", b2_n_upper, "=", b2_n_upper, "cover-second-betti-bound")
     rank_step = tb.compare(
         "cover-signature-vs-rank",
         abs(doubled),
         2 * b2_n_upper,
         "signature-vs-rank",
     )
-    tb.add(
-        "budget-forms-agree",
-        4 * abs(m.signature) + 8 * m.b1_f2 + 4 * m.euler_characteristic - 8,
-        "=",
-        4 * (abs(m.signature) + m.b2_f2),
-        "budget-closed-forms",
-    )
-    final_step = tb.compare("excess-vs-budget", lhs, rhs, "excess-bound")
+    tb.add("budget-forms-agree", rhs, "=", rhs, "budget-closed-forms")
+    tb.compare("excess-vs-budget", lhs, rhs, "excess-bound")
 
     if lhs > rhs:
         verdict = Verdict.OBSTRUCTED
@@ -372,7 +329,6 @@ def excess_check(m: ManifoldProfile, family: SurfaceFamily) -> ObstructionReport
                 " although the final excess bound holds; no conclusion is"
                 " drawn from the interim comparison"
             )
-    del final_step
     return ObstructionReport(
         verdict=verdict,
         lhs=lhs,
@@ -415,9 +371,10 @@ def plane_family_audit(
     extracts a zero-sum subfamily (constructive by default, exact maximizer
     with use_exact); stage four runs the excess check on that subfamily,
     whose hypotheses hold by construction. The verdict is Obstructed when
-    either the count exceeds B or the subfamily check obstructs.
+    either the count exceeds B or the subfamily check obstructs. ``workers``
+    is accepted for compatibility and has no effect.
     """
-    validate_profile(m)
+    budget = budget_report(m)
     _require_matching_dim(m, planes)
     for pos, s in enumerate(planes.members, start=1):
         if s.genus != 1:
@@ -430,9 +387,7 @@ def plane_family_audit(
             )
 
     count = len(planes)
-    k = m.b2_f2
-    d = excess_budget(m)
-    b = plane_bound(m)
+    k, d, b = budget.b2_f2, budget.d_of_m, budget.b_of_m
     notes: list[str] = []
 
     tb = _TraceBuilder()
@@ -451,7 +406,7 @@ def plane_family_audit(
             vectors=tuple(planes.members[i - 1].mod2_class for i in majority),
         )
         if use_exact:
-            cert = max_zero_sum_subset(classes, effort_limit, workers=workers)
+            cert = max_zero_sum_subset(classes, effort_limit)
             if cert.size == 0:
                 # The maximizer can only improve on the constructive bound,
                 # which is positive here; guard against regressions.
@@ -486,7 +441,7 @@ def plane_family_audit(
             "majority subfamily fits inside the mod-2 rank"
             f" ({s_count} <= {k}); no zero-sum subfamily is forced"
         )
-    tb.compare("count-vs-rank-plus-budget", count, 2 * (k + d), "plane-count-bound")
+    tb.compare("count-vs-rank-plus-budget", count, b, "plane-count-bound")
 
     obstructed = count_step.lhs > count_step.rhs or (
         subreport is not None and subreport.verdict is Verdict.OBSTRUCTED
@@ -515,10 +470,6 @@ def batch_check(
 ) -> tuple[ObstructionReport, ...]:
     """Run excess_check over many families, ordered by input position.
 
-    Results are independent of the worker count: each family's report is a
-    pure function of that family, and outputs are collected by index.
+    ``workers`` is accepted for compatibility and has no effect.
     """
-    if workers <= 1 or len(families) <= 1:
-        return tuple(excess_check(m, f) for f in families)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return tuple(pool.map(lambda f: excess_check(m, f), families))
+    return tuple(excess_check(m, f) for f in families)

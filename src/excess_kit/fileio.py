@@ -9,6 +9,7 @@ typos must fail loudly, not silently default.
 from __future__ import annotations
 
 import os
+import re
 from importlib import resources
 
 from .errors import CatalogError, ParseError
@@ -24,6 +25,7 @@ __all__ = [
     "load_catalog",
     "resolve_profile",
     "read_family_file",
+    "parse_decimal",
     "CATALOG_ENV_VAR",
 ]
 
@@ -49,9 +51,23 @@ def _split_field(path: str, number: int, line: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_decimal(text: str) -> int:
+    """An optional sign followed by ASCII digits, as an int.
+
+    Raises ValueError for anything else, including the non-ASCII digits,
+    underscores and surrounding whitespace that int() would accept.
+    """
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _parse_int(path: str, number: int, field: str, value: str) -> int:
     try:
-        return int(value, 10)
+        return parse_decimal(value)
     except ValueError:
         raise ParseError(path, number, f"field {field!r} needs an integer, got {value!r}") from None
 

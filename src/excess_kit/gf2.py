@@ -7,7 +7,6 @@ over immutable values; collection indices are 1-based throughout.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -26,12 +25,12 @@ __all__ = [
     "DEFAULT_EFFORT_LIMIT",
 ]
 
-# Exhaustive scan up to 2^20 subsets; above that the solver switches to
-# meet-in-the-middle on the complement.
+# Public for callers that import it; the solver does not read it, since
+# meet-in-the-middle costs no more than a full scan at every length.
 EXHAUSTIVE_LIMIT = 20
 
-# Node budget used when effort_limit=0. Covers the exhaustive range and
-# meet-in-the-middle halves up to 2^21 each.
+# Node budget used when effort_limit=0: meet-in-the-middle halves of up to
+# 2^21 each, so every length up to 42.
 DEFAULT_EFFORT_LIMIT = 1 << 22
 
 
@@ -242,7 +241,8 @@ def zero_sum_subcollection(collection: Gf2Collection) -> SubsetCertificate:
     acc = 0
     for i in cert.indices:
         acc ^= collection.vector(i).bits
-    assert acc == 0, "certificate does not XOR to zero"
+    if acc != 0:
+        raise AssertionError("certificate does not XOR to zero")
     return cert
 
 
@@ -250,30 +250,6 @@ def _subset_lex_less(a: int, b: int) -> bool:
     """True when index set a precedes b lexicographically (equal sizes)."""
     d = a ^ b
     return bool(a & (d & -d))
-
-
-def _solve_exhaustive(masks: list[int]) -> int:
-    """Best zero-sum subset mask by (max size, lex-least index set).
-
-    Gray-code scan over all subsets; the running XOR changes by one vector
-    per step.
-    """
-    m = len(masks)
-    best_mask = 0
-    best_size = 0
-    acc = 0
-    for i in range(1, 1 << m):
-        lsb = i & -i
-        acc ^= masks[lsb.bit_length() - 1]
-        if acc == 0:
-            g = i ^ (i >> 1)
-            size = g.bit_count()
-            if size > best_size or (
-                size == best_size and _subset_lex_less(g, best_mask)
-            ):
-                best_mask = g
-                best_size = size
-    return best_mask
 
 
 def _xor_table(masks: Sequence[int]) -> list[int]:
@@ -285,28 +261,22 @@ def _xor_table(masks: Sequence[int]) -> list[int]:
     return table
 
 
-def _chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    step = (total + parts - 1) // parts
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+def _solve_mitm(masks: list[int]) -> int:
+    """Best zero-sum subset mask by (max size, lex-least index set).
 
-
-def _solve_mitm(masks: list[int], workers: int) -> int:
-    """Best zero-sum subset via minimum-weight complement search.
-
-    The complement must XOR to the whole collection's XOR; halves are the
-    first and second index blocks. Among minimum complements the
-    lexicographically largest one is chosen, which yields the
-    lexicographically least maximum subset.
+    Meet-in-the-middle on the complement, which must XOR to the whole
+    collection's XOR; the halves are the first and second index blocks.
+    Among minimum complements the lexicographically largest one is kept,
+    which yields the lexicographically least maximum subset.
     """
     m = len(masks)
     total_xor = 0
     for v in masks:
         total_xor ^= v
     split = m // 2
-    table_a = _xor_table(masks[:split])
     # Per XOR value: (min cardinality, lex-largest index set at that size).
     best_a: dict[int, tuple[int, int]] = {}
-    for submask, x in enumerate(table_a):
+    for submask, x in enumerate(_xor_table(masks[:split])):
         card = submask.bit_count()
         cur = best_a.get(x)
         if cur is None or card < cur[0] or (
@@ -314,50 +284,22 @@ def _solve_mitm(masks: list[int], workers: int) -> int:
         ):
             best_a[x] = (card, submask)
 
-    table_b = _xor_table(masks[split:])
-    nb = len(table_b)
-
-    def scan_min(lo: int, hi: int) -> int:
-        best = m + 1
-        for submask in range(lo, hi):
-            hit = best_a.get(total_xor ^ table_b[submask])
-            if hit is not None:
-                total = hit[0] + submask.bit_count()
-                if total < best:
-                    best = total
-        return best
-
-    def scan_best(lo: int, hi: int, target: int) -> tuple[int, ...] | None:
-        best: tuple[int, ...] | None = None
-        for submask in range(lo, hi):
-            hit = best_a.get(total_xor ^ table_b[submask])
-            if hit is None or hit[0] + submask.bit_count() != target:
-                continue
-            a_mask = hit[1]
-            cand = tuple(i + 1 for i in range(split) if (a_mask >> i) & 1) + tuple(
-                i + split + 1 for i in range(m - split) if (submask >> i) & 1
-            )
-            if best is None or cand > best:
-                best = cand
-        return best
-
-    if workers > 1:
-        ranges = _chunk_ranges(nb, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            min_card = min(pool.map(lambda r: scan_min(*r), ranges))
-            parts = pool.map(lambda r: scan_best(r[0], r[1], min_card), ranges)
-        complement = max(p for p in parts if p is not None)
-    else:
-        min_card = scan_min(0, nb)
-        found = scan_best(0, nb, min_card)
-        assert found is not None
-        complement = found
-
-    full = (1 << m) - 1
-    comp_mask = 0
-    for i in complement:
-        comp_mask |= 1 << (i - 1)
-    return full ^ comp_mask
+    # Taking every index as the complement always matches, so some
+    # complement is found.
+    best_card = m + 1
+    best_comp = 0
+    for submask, x in enumerate(_xor_table(masks[split:])):
+        hit = best_a.get(total_xor ^ x)
+        if hit is None:
+            continue
+        card = hit[0] + submask.bit_count()
+        if card > best_card:
+            continue
+        comp = hit[1] | (submask << split)
+        if card < best_card or _subset_lex_less(best_comp, comp):
+            best_card = card
+            best_comp = comp
+    return ((1 << m) - 1) ^ best_comp
 
 
 def max_zero_sum_subset(
@@ -366,27 +308,21 @@ def max_zero_sum_subset(
     """Maximum-cardinality zero-sum subset, exact.
 
     Equivalently minimizes the complement, a minimum-weight coset leader
-    problem for the XOR of the whole collection. Ties are broken toward the
-    lexicographically smallest index set, so results do not depend on the
-    worker count. Raises EffortExceeded (with the constructive certificate
-    attached) when the node budget cannot cover an exact answer;
-    effort_limit=0 selects the default budget.
+    problem for the XOR of the whole collection, solved by meet-in-the-middle
+    over 2^floor(m/2) + 2^ceil(m/2) nodes. Ties are broken toward the
+    lexicographically smallest index set. Raises EffortExceeded (with the
+    constructive certificate attached) when the node budget cannot cover an
+    exact answer; effort_limit=0 selects the default budget. ``workers`` is
+    accepted for compatibility and has no effect.
     """
     if effort_limit < 0:
         raise ValueError("effort_limit must be nonnegative")
     budget = effort_limit or DEFAULT_EFFORT_LIMIT
     m = len(collection)
-    masks = [v.bits for v in collection.vectors]
-    if m <= EXHAUSTIVE_LIMIT:
-        needed = 1 << m
-        if needed > budget:
-            raise EffortExceeded(needed, budget, zero_sum_subcollection(collection))
-        best = _solve_exhaustive(masks)
-    else:
-        needed = (1 << (m // 2)) + (1 << (m - m // 2))
-        if needed > budget:
-            raise EffortExceeded(needed, budget, zero_sum_subcollection(collection))
-        best = _solve_mitm(masks, workers)
+    needed = (1 << (m // 2)) + (1 << (m - m // 2))
+    if needed > budget:
+        raise EffortExceeded(needed, budget, zero_sum_subcollection(collection))
+    best = _solve_mitm([v.bits for v in collection.vectors])
     return SubsetCertificate(
         frozenset(i + 1 for i in range(m) if (best >> i) & 1)
     )

@@ -71,23 +71,12 @@ def validate_profile(profile: ManifoldProfile) -> ManifoldProfile:
 
 
 def excess_budget(profile: ManifoldProfile) -> int:
-    """Excess budget D = 4*|signature| + 8*b1 + 4*chi - 8.
+    """Excess budget D = 4*(|signature| + b2_f2), validated first.
 
-    Equal to 4*(|signature| + b2_f2); both forms are computed and must agree.
+    Expanding b2_f2 gives the other closed form 4*|signature| + 8*b1 + 4*chi - 8.
     """
     validate_profile(profile)
-    direct = (
-        4 * abs(profile.signature)
-        + 8 * profile.b1_f2
-        + 4 * profile.euler_characteristic
-        - 8
-    )
-    via_b2 = 4 * (abs(profile.signature) + profile.b2_f2)
-    if direct != via_b2:
-        raise AssertionError(
-            f"budget forms disagree for {profile.name}: {direct} != {via_b2}"
-        )
-    return direct
+    return 4 * (abs(profile.signature) + profile.b2_f2)
 
 
 def plane_bound(profile: ManifoldProfile) -> int:
@@ -97,6 +86,8 @@ def plane_bound(profile: ManifoldProfile) -> int:
 
 def budget_report(profile: ManifoldProfile) -> BudgetReport:
     """Assemble the derived rank and both budgets for one profile."""
-    d = excess_budget(profile)
-    b2 = profile.b2_f2
-    return BudgetReport(b2_f2=b2, d_of_m=d, b_of_m=2 * (b2 + d))
+    return BudgetReport(
+        b2_f2=profile.b2_f2,
+        d_of_m=excess_budget(profile),
+        b_of_m=plane_bound(profile),
+    )

@@ -1,0 +1,234 @@
+"""Golden bytes: canonical JSON and text output of the verdict path.
+
+A seeded corpus of excess checks, batches, plane audits (constructive and
+exact) and exact zero-sum solves is rendered to canonical JSON and to text,
+and compared byte for byte with the files under tests/data/. The corpus
+spans profiles with nonzero signature, positive b1 and b2 = 0, families
+with odd total Euler number, and all three verdicts.
+
+The expected files are written by running this module as a script:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+Only do that for an intended change of output, and review the diff.
+"""
+
+from __future__ import annotations
+
+import pathlib
+import random
+
+from excess_kit.engine import Verdict, batch_check, excess_check, plane_family_audit
+from excess_kit.gf2 import Gf2Collection, Gf2Vector, max_zero_sum_subset
+from excess_kit.manifolds import ManifoldProfile, excess_budget
+from excess_kit.reports import (
+    audit_document,
+    canonical_json,
+    certificate_document,
+    render_audit_text,
+    render_report_text,
+    report_document,
+)
+from excess_kit.surfaces import SurfaceDatum, SurfaceFamily
+
+DATA = pathlib.Path(__file__).parent / "data"
+SEED = 20240611
+
+# (name, signature, euler_characteristic, b1_f2)
+PROFILES = (
+    ManifoldProfile("s4", 0, 2, 0),  # b2 = 0
+    ManifoldProfile("s1xs3", 0, 0, 1),  # b1 > 0, b2 = 0
+    ManifoldProfile("cp2", 1, 3, 0),  # signature != 0
+    ManifoldProfile("b1-two", -2, 4, 2),  # b1 > 0, signature != 0, b2 = 6
+    ManifoldProfile("k3", -16, 24, 0),  # b2 = 22
+    ManifoldProfile("s2xs2", 0, 4, 0),  # b2 = 2
+)
+
+FAMILIES_PER_PROFILE = 6
+
+
+def _classes(rng: random.Random, dim: int, size: int, zero_sum: bool) -> list[int]:
+    bits = [rng.getrandbits(dim) if dim else 0 for _ in range(size)]
+    if zero_sum:
+        acc = 0
+        for b in bits[:-1]:
+            acc ^= b
+        bits[-1] = acc
+    return bits
+
+
+def check_corpus() -> list[tuple[ManifoldProfile, list[SurfaceFamily]]]:
+    """Per profile: families with both hypotheses holding, and some without.
+
+    Euler numbers scale with the profile's budget so that both Obstructed
+    and BoundSatisfied occur; odd Euler numbers are allowed throughout.
+    """
+    rng = random.Random(SEED)
+    corpus = []
+    for profile in PROFILES:
+        dim = profile.b2_f2
+        budget = excess_budget(profile)
+        families = []
+        for k in range(FAMILIES_PER_PROFILE):
+            size = rng.randint(1, 4)
+            hypotheses_hold = k % 3 != 2
+            sign = rng.choice((1, -1))
+            genera = [rng.randint(1, 6) for _ in range(size)]
+            reach = (budget + 2 * sum(genera)) // size + 6
+            if hypotheses_hold:
+                eulers = [sign * rng.randint(0, reach) for _ in range(size)]
+            else:
+                eulers = [rng.randint(-reach, reach) for _ in range(size)]
+            bits = _classes(rng, dim, size, zero_sum=hypotheses_hold or k % 2 == 1)
+            members = tuple(
+                SurfaceDatum(genus=g, euler_number=e, mod2_class=Gf2Vector(dim, b))
+                for g, e, b in zip(genera, eulers, bits)
+            )
+            families.append(SurfaceFamily(dim, members))
+        corpus.append((profile, families))
+    return corpus
+
+
+def audit_corpus() -> list[tuple[ManifoldProfile, SurfaceFamily]]:
+    """Genus-1 families: some fit the rank, some force a zero-sum subfamily.
+
+    Majorities of the 23-member families run to about 20, where the exact
+    audits hand the solver its longest inputs.
+    """
+    rng = random.Random(SEED + 1)
+    corpus = []
+    for profile in PROFILES:
+        dim = profile.b2_f2
+        for size in (3, dim + 2, 23):
+            lean = rng.choice((1, -1))
+            members = []
+            for _ in range(size):
+                sign = lean if rng.random() < 0.8 else -lean
+                members.append(
+                    SurfaceDatum(
+                        genus=1,
+                        euler_number=sign * rng.randint(3, 9),
+                        mod2_class=Gf2Vector(dim, rng.getrandbits(dim) if dim else 0),
+                    )
+                )
+            corpus.append((profile, SurfaceFamily(dim, tuple(members))))
+    return corpus
+
+
+def solver_corpus() -> list[Gf2Collection]:
+    """Collections of length 0 to 26 at low, full and high rank."""
+    rng = random.Random(SEED + 2)
+    corpus = []
+    for m in list(range(0, 27)) + [9, 14, 17, 21, 24]:
+        dim = rng.choice((1, 3, 6, 12, 24))
+        corpus.append(
+            Gf2Collection(dim, tuple(Gf2Vector(dim, rng.getrandbits(dim)) for _ in range(m)))
+        )
+    return corpus
+
+
+def _block(name: str, body: str) -> str:
+    return f"=== {name}\n{body}\n"
+
+
+def _render_reports(check) -> str:
+    """Blocks for every corpus family, reports produced by check(profile, families)."""
+    out = []
+    for profile, families in check_corpus():
+        for i, report in enumerate(check(profile, families), start=1):
+            name = f"{profile.name} #{i}"
+            out.append(_block(f"{name} json", canonical_json(report_document(report))))
+            out.append(_block(f"{name} text", render_report_text(report)))
+    return "".join(out)
+
+
+def render_checks() -> str:
+    return _render_reports(lambda p, families: [excess_check(p, f) for f in families])
+
+
+def render_batches() -> str:
+    return _render_reports(batch_check)
+
+
+def render_audits() -> str:
+    out = []
+    for i, (profile, planes) in enumerate(audit_corpus(), start=1):
+        for exact in (False, True):
+            audit = plane_family_audit(profile, planes, use_exact=exact)
+            name = f"{profile.name} #{i} {'exact' if exact else 'constructive'}"
+            out.append(_block(f"{name} json", canonical_json(audit_document(audit))))
+            out.append(_block(f"{name} text", render_audit_text(audit)))
+    return "".join(out)
+
+
+def render_solves() -> str:
+    out = []
+    for i, collection in enumerate(solver_corpus(), start=1):
+        cert = max_zero_sum_subset(collection)
+        name = f"m={len(collection)} dim={collection.dim} #{i}"
+        out.append(_block(f"{name} json", canonical_json(certificate_document(cert))))
+        out.append(_block(f"{name} text", str(cert)))
+    return "".join(out)
+
+
+GOLDEN = {
+    "golden_check.txt": render_checks,
+    "golden_audit.txt": render_audits,
+    "golden_solve.txt": render_solves,
+}
+
+
+def _blocks(text: str) -> list[str]:
+    return text.split("\n=== ")
+
+
+def _assert_same(actual: str, filename: str) -> None:
+    expected = (DATA / filename).read_text(encoding="utf-8")
+    if actual == expected:
+        return
+    got, want = _blocks(actual), _blocks(expected)
+    for a, b in zip(got, want):
+        assert a == b, f"{filename}: first differing block:\n{b}\n--- got ---\n{a}"
+    assert len(got) == len(want), f"{filename}: {len(got)} blocks, expected {len(want)}"
+
+
+def test_excess_check_bytes():
+    _assert_same(render_checks(), "golden_check.txt")
+
+
+def test_batch_check_bytes_match_single_checks():
+    _assert_same(render_batches(), "golden_check.txt")
+
+
+def test_plane_audit_bytes():
+    _assert_same(render_audits(), "golden_audit.txt")
+
+
+def test_exact_solver_bytes():
+    _assert_same(render_solves(), "golden_solve.txt")
+
+
+def test_corpus_covers_every_verdict_and_odd_euler_totals():
+    verdicts = set()
+    odd_with_hypotheses = 0
+    for profile, families in check_corpus():
+        for family in families:
+            report = excess_check(profile, family)
+            verdicts.add(report.verdict)
+            total = sum(s.euler_number for s in family.members)
+            odd_with_hypotheses += (
+                total % 2 == 1 and report.verdict is not Verdict.HYPOTHESIS_FAILURE
+            )
+    assert verdicts == set(Verdict)
+    assert odd_with_hypotheses > 0
+    audits = {
+        plane_family_audit(p, planes).verdict for p, planes in audit_corpus()
+    }
+    assert audits == {Verdict.OBSTRUCTED, Verdict.BOUND_SATISFIED}
+
+
+if __name__ == "__main__":
+    DATA.mkdir(exist_ok=True)
+    for filename, render in GOLDEN.items():
+        (DATA / filename).write_text(render(), encoding="utf-8")
+        print(f"wrote {DATA / filename}")
