@@ -24,7 +24,7 @@ from .fileio import (
     resolve_profile,
 )
 from .gf2 import Gf2Vector, max_zero_sum_subset, zero_sum_subcollection
-from .manifolds import ManifoldProfile, budget_report, validate_profile
+from .manifolds import ManifoldProfile, budget_report
 from .surfaces import SurfaceFamily, TubedSurface, massey_admissible_set, tube
 
 __all__ = ["build_parser", "run", "main"]
@@ -43,6 +43,13 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+def _effort_arg(text: str) -> int:
+    effort = _int_arg(text)
+    if effort < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {effort}")
+    return effort
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="excess-kit",
@@ -54,20 +61,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     catalog = sub.add_parser("catalog", help="list or show built-in profiles")
+    catalog.set_defaults(handler=_cmd_catalog)
     catalog_sub = catalog.add_subparsers(dest="catalog_command", required=True)
     catalog_sub.add_parser("list", help="list all known profiles")
     show = catalog_sub.add_parser("show", help="show one profile with budgets")
     show.add_argument("name")
 
     bound = sub.add_parser("bound", help="print a profile's budgets")
+    bound.set_defaults(handler=_cmd_bound)
     bound.add_argument("--manifold", required=True, metavar="REF")
 
     check = sub.add_parser("check", help="excess check of a family file")
+    check.set_defaults(handler=_cmd_check)
     check.add_argument("--manifold", required=True, metavar="REF")
     check.add_argument("--family", required=True, metavar="PATH")
     check.add_argument("--format", choices=("text", "json"), default="text")
 
     audit = sub.add_parser("audit", help="staged audit of a genus-1 family")
+    audit.set_defaults(handler=_cmd_audit)
     audit.add_argument("--manifold", required=True, metavar="REF")
     audit.add_argument("--planes", required=True, metavar="PATH")
     audit.add_argument(
@@ -76,23 +87,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the exact zero-sum maximizer instead of the constructive one",
     )
     audit.add_argument("--format", choices=("text", "json"), default="text")
-    audit.add_argument("--effort", type=_int_arg, default=0, metavar="N")
+    audit.add_argument("--effort", type=_effort_arg, default=0, metavar="N")
 
     tube_cmd = sub.add_parser("tube", help="tube a family into one surface")
+    tube_cmd.set_defaults(handler=_cmd_tube)
     tube_cmd.add_argument("--family", required=True, metavar="PATH")
 
     cover = sub.add_parser("cover", help="branched double cover invariants")
+    cover.set_defaults(handler=_cmd_cover)
     cover.add_argument("--manifold", required=True, metavar="REF")
     cover.add_argument("--genus", required=True, type=_int_arg)
     cover.add_argument("--euler", required=True, type=_int_arg)
     cover.add_argument("--class", dest="class_bits", default=None, metavar="BITS")
 
     zerosum = sub.add_parser("zerosum", help="zero-sum subset of a vector file")
+    zerosum.set_defaults(handler=_cmd_zerosum)
     zerosum.add_argument("--vectors", required=True, metavar="PATH")
     zerosum.add_argument("--exact", action="store_true")
-    zerosum.add_argument("--effort", type=_int_arg, default=0, metavar="N")
+    zerosum.add_argument("--effort", type=_effort_arg, default=0, metavar="N")
 
     massey = sub.add_parser("massey", help="admissible Euler numbers for a genus")
+    massey.set_defaults(handler=_cmd_massey)
     massey.add_argument("--genus", required=True, type=_int_arg)
 
     return parser
@@ -107,6 +122,11 @@ def _profile_line(profile: ManifoldProfile) -> str:
     )
 
 
+def _print_budget(profile: ManifoldProfile) -> int:
+    print(reports.render_budget_text(profile, budget_report(profile)))
+    return 0
+
+
 def _cmd_catalog(args: argparse.Namespace) -> int:
     catalog = load_catalog()
     if args.catalog_command == "list":
@@ -117,15 +137,11 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     if profile is None:
         print(f"unknown catalog profile {args.name!r}", file=sys.stderr)
         return 2
-    print(reports.render_budget_text(profile, budget_report(profile)))
-    return 0
+    return _print_budget(profile)
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    profile = resolve_profile(args.manifold)
-    validate_profile(profile)
-    print(reports.render_budget_text(profile, budget_report(profile)))
-    return 0
+    return _print_budget(resolve_profile(args.manifold))
 
 
 def _load_family_for(ref: str, path: str) -> tuple[ManifoldProfile, SurfaceFamily]:
@@ -136,18 +152,13 @@ def _load_family_for(ref: str, path: str) -> tuple[ManifoldProfile, SurfaceFamil
     """
     catalog = load_catalog()
     profile = resolve_profile(ref, catalog)
-    validate_profile(profile)
     ambient, family = read_family_file(path, catalog)
-    if (
-        ambient.signature,
-        ambient.euler_characteristic,
-        ambient.b1_f2,
-    ) != (profile.signature, profile.euler_characteristic, profile.b1_f2):
+    declared = (ambient.signature, ambient.euler_characteristic, ambient.b1_f2)
+    named = (profile.signature, profile.euler_characteristic, profile.b1_f2)
+    if declared != named:
         raise ExcessKitError(
-            f"family file declares ambient {ambient.name!r} with invariants "
-            f"({ambient.signature}, {ambient.euler_characteristic}, {ambient.b1_f2}), "
-            f"but the command names {profile.name!r} with "
-            f"({profile.signature}, {profile.euler_characteristic}, {profile.b1_f2})"
+            f"family file declares ambient {ambient.name!r} with invariants {declared}, "
+            f"but the command names {profile.name!r} with {named}"
         )
     return profile, family
 
@@ -182,29 +193,15 @@ def _cmd_tube(args: argparse.Namespace) -> int:
 
 def _cmd_cover(args: argparse.Namespace) -> int:
     profile = resolve_profile(args.manifold)
-    validate_profile(profile)
     if args.class_bits is None:
-        bits = "0" * profile.b2_f2
+        mod2_class = Gf2Vector.zero(profile.b2_f2)
     else:
-        bits = args.class_bits
-        if bits.strip("01"):
-            print(f"--class is not a bit string: {bits!r}", file=sys.stderr)
-            return 2
-        if len(bits) != profile.b2_f2:
-            print(
-                f"--class has length {len(bits)}, profile {profile.name!r} "
-                f"needs {profile.b2_f2}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.genus < 1:
-        print(f"--genus must be >= 1, got {args.genus}", file=sys.stderr)
-        return 2
+        mod2_class = Gf2Vector.from_string(args.class_bits)
     surface = TubedSurface(
         genus=args.genus,
         euler_number=args.euler,
         euler_characteristic=2 - args.genus,
-        mod2_class=Gf2Vector.from_string(bits),
+        mod2_class=mod2_class,
     )
     cover = branched_double_cover(profile, surface)
     print(reports.render_cover_text(cover, consistency_check(cover)))
@@ -213,9 +210,6 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 
 def _cmd_zerosum(args: argparse.Namespace) -> int:
     collection = read_vector_file(args.vectors)
-    if args.effort < 0:
-        print(f"--effort must be nonnegative, got {args.effort}", file=sys.stderr)
-        return 2
     if args.exact:
         cert = max_zero_sum_subset(collection, args.effort)
     else:
@@ -230,18 +224,6 @@ def _cmd_massey(args: argparse.Namespace) -> int:
     return 0
 
 
-_DISPATCH = {
-    "catalog": _cmd_catalog,
-    "bound": _cmd_bound,
-    "check": _cmd_check,
-    "audit": _cmd_audit,
-    "tube": _cmd_tube,
-    "cover": _cmd_cover,
-    "zerosum": _cmd_zerosum,
-    "massey": _cmd_massey,
-}
-
-
 def run(argv: list[str]) -> int:
     """Parse arguments, dispatch, and map errors to exit codes."""
     parser = build_parser()
@@ -251,14 +233,8 @@ def run(argv: list[str]) -> int:
         code = exc.code
         return int(code) if isinstance(code, int) else 2
     try:
-        return _DISPATCH[args.command](args)
-    except ExcessKitError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return args.handler(args)
+    except (ExcessKitError, OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except Exception as exc:

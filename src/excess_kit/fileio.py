@@ -1,6 +1,6 @@
 """Strict parsers for the on-disk formats and the profile catalog.
 
-All formats are line-oriented text: blank lines and `#` comments are
+All formats are line-oriented UTF-8 text: blank lines and `#` comments are
 ignored everywhere, fields are `key: value` pairs, and block headers are
 bracketed section names. Unknown or duplicate fields are errors — fixture
 typos must fail loudly, not silently default.
@@ -12,7 +12,7 @@ import os
 import re
 from importlib import resources
 
-from .errors import CatalogError, ParseError
+from .errors import CatalogError, NegativeB2, ParseError, SignatureExceedsRank
 from .gf2 import Gf2Collection, Gf2Vector
 from .manifolds import ManifoldProfile, validate_profile
 from .surfaces import SurfaceDatum, SurfaceFamily
@@ -34,14 +34,28 @@ CATALOG_ENV_VAR = "EXCESS_KIT_CATALOG"
 _PROFILE_FIELDS = ("name", "signature", "euler_characteristic", "b1_f2")
 _SURFACE_FIELDS = ("genus", "euler_number", "class")
 
+_Fields = dict[str, tuple[int, str]]
 
-def _content_lines(path: str, text: str):
-    """Yield (line_number, stripped_text) for content lines only."""
+
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """(line_number, stripped_text) of the content lines of a UTF-8 file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; the sentinel stands in for it,
+        # so the count ends on the line that holds it.
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(
+            path, line, f"invalid UTF-8: {exc.reason} at byte offset {exc.start}"
+        ) from None
+    lines = []
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield number, line
+        if line and not line.startswith("#"):
+            lines.append((number, line))
+    return lines
 
 
 def _split_field(path: str, number: int, line: str) -> tuple[str, str]:
@@ -49,6 +63,48 @@ def _split_field(path: str, number: int, line: str) -> tuple[str, str]:
     if not sep:
         raise ParseError(path, number, f"expected 'field: value', got {line!r}")
     return key.strip(), value.strip()
+
+
+def _add_field(
+    path: str, number: int, line: str, fields: _Fields, allowed: tuple[str, ...], what: str
+) -> None:
+    key, value = _split_field(path, number, line)
+    if key not in allowed:
+        raise ParseError(path, number, f"unknown {what} field {key!r}")
+    if key in fields:
+        raise ParseError(path, number, f"duplicate field {key!r}")
+    fields[key] = (number, value)
+
+
+def _split_blocks(
+    path: str, header: str, allowed: tuple[str, ...]
+) -> tuple[list[tuple[int, str]], list[tuple[int, _Fields]]]:
+    """Split a file into blocks opened by `header` lines.
+
+    Returns the content lines before the first header, left to the caller,
+    and one (header line number, {field: (line number, value)}) per block.
+    """
+    what = header.strip("[]")
+    head: list[tuple[int, str]] = []
+    blocks: list[tuple[int, _Fields]] = []
+    fields: _Fields | None = None
+    for number, line in _read_lines(path):
+        if line == header:
+            fields = {}
+            blocks.append((number, fields))
+        elif line.startswith("["):
+            raise ParseError(path, number, f"unknown section {line!r}")
+        elif fields is None:
+            head.append((number, line))
+        else:
+            _add_field(path, number, line, fields, allowed, what)
+    return head, blocks
+
+
+def _require(path: str, start: int, fields: _Fields, key: str, what: str) -> tuple[int, str]:
+    if key not in fields:
+        raise ParseError(path, start, f"{what} is missing field {key!r}")
+    return fields[key]
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -65,20 +121,22 @@ def parse_decimal(text: str) -> int:
     return int(text)
 
 
-def _parse_int(path: str, number: int, field: str, value: str) -> int:
+def _int_field(
+    path: str, start: int, fields: _Fields, key: str, what: str
+) -> tuple[int, int]:
+    """(line number, value) of a required integer field."""
+    num, raw = _require(path, start, fields, key, what)
     try:
-        return parse_decimal(value)
+        return num, parse_decimal(raw)
     except ValueError:
-        raise ParseError(path, number, f"field {field!r} needs an integer, got {value!r}") from None
+        raise ParseError(path, num, f"field {key!r} needs an integer, got {raw!r}") from None
 
 
 def read_vector_file(path: str) -> Gf2Collection:
     """Read one bit-string vector per line; all lines must share a length."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     vectors: list[Gf2Vector] = []
     dim: int | None = None
-    for number, line in _content_lines(path, text):
+    for number, line in _read_lines(path):
         if line.strip("01"):
             raise ParseError(path, number, f"not a bit string: {line!r}")
         if dim is None:
@@ -91,110 +149,57 @@ def read_vector_file(path: str) -> Gf2Collection:
     return Gf2Collection(dim=dim or 0, vectors=tuple(vectors))
 
 
-class _FieldBlock:
-    """Collects `key: value` fields with duplicate/unknown detection."""
+def _profile_from_fields(path: str, start: int, fields: _Fields) -> ManifoldProfile:
+    """Build and validate one profile; `start` is its header line, 0 if none.
 
-    def __init__(self, path: str, allowed: tuple[str, ...], what: str):
-        self.path = path
-        self.allowed = allowed
-        self.what = what
-        self.fields: dict[str, tuple[int, str]] = {}
-        self.start_line = 0
-
-    def add(self, number: int, key: str, value: str) -> None:
-        if key not in self.allowed:
-            raise ParseError(
-                self.path, number, f"unknown {self.what} field {key!r}"
-            )
-        if key in self.fields:
-            raise ParseError(self.path, number, f"duplicate field {key!r}")
-        self.fields[key] = (number, value)
-
-    def require(self, key: str) -> tuple[int, str]:
-        if key not in self.fields:
-            raise ParseError(
-                self.path,
-                self.start_line,
-                f"{self.what} is missing field {key!r}",
-            )
-        return self.fields[key]
-
-
-def _profile_from_block(block: _FieldBlock) -> ManifoldProfile:
-    path = block.path
-    _, name = block.require("name")
+    An invalid profile keeps its exception class and gains the location of
+    its header, or of its first field when it has no header.
+    """
+    num, name = _require(path, start, fields, "name", "profile")
     if not name:
-        raise ParseError(path, block.require("name")[0], "field 'name' is empty")
-    num, raw = block.require("signature")
-    signature = _parse_int(path, num, "signature", raw)
-    num, raw = block.require("euler_characteristic")
-    chi = _parse_int(path, num, "euler_characteristic", raw)
-    num, raw = block.require("b1_f2")
-    b1 = _parse_int(path, num, "b1_f2", raw)
+        raise ParseError(path, num, "field 'name' is empty")
+    _, signature = _int_field(path, start, fields, "signature", "profile")
+    _, chi = _int_field(path, start, fields, "euler_characteristic", "profile")
+    num, b1 = _int_field(path, start, fields, "b1_f2", "profile")
     if b1 < 0:
         raise ParseError(path, num, f"field 'b1_f2' must be nonnegative, got {b1}")
-    return ManifoldProfile(
+    profile = ManifoldProfile(
         name=name, signature=signature, euler_characteristic=chi, b1_f2=b1
     )
+    try:
+        return validate_profile(profile)
+    except (NegativeB2, SignatureExceedsRank) as exc:
+        line = start or min(number for number, _ in fields.values())
+        raise type(exc)(f"{path}:{line}: {exc}") from None
 
 
 def read_profile_file(path: str) -> ManifoldProfile:
     """Read a single profile: the four fields, no block header."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    block = _FieldBlock(path, _PROFILE_FIELDS, "profile")
-    for number, line in _content_lines(path, text):
-        key, value = _split_field(path, number, line)
-        block.add(number, key, value)
-    profile = _profile_from_block(block)
-    validate_profile(profile)
-    return profile
-
-
-def _read_catalog_text(path: str, text: str) -> dict[str, ManifoldProfile]:
-    profiles: dict[str, ManifoldProfile] = {}
-    block: _FieldBlock | None = None
-
-    def finish(b: _FieldBlock | None) -> None:
-        if b is None:
-            return
-        profile = _profile_from_block(b)
-        validate_profile(profile)
-        if profile.name in profiles:
-            raise ParseError(
-                path, b.start_line, f"duplicate profile name {profile.name!r}"
-            )
-        profiles[profile.name] = profile
-
-    for number, line in _content_lines(path, text):
-        if line == "[profile]":
-            finish(block)
-            block = _FieldBlock(path, _PROFILE_FIELDS, "profile")
-            block.start_line = number
-            continue
-        if line.startswith("["):
-            raise ParseError(path, number, f"unknown section {line!r}")
-        if block is None:
-            raise ParseError(path, number, "field outside a [profile] block")
-        key, value = _split_field(path, number, line)
-        block.add(number, key, value)
-    finish(block)
-    return profiles
+    fields: _Fields = {}
+    for number, line in _read_lines(path):
+        _add_field(path, number, line, fields, _PROFILE_FIELDS, "profile")
+    return _profile_from_fields(path, 0, fields)
 
 
 def read_catalog_file(path: str) -> dict[str, ManifoldProfile]:
     """Read a catalog of [profile] blocks, each validated on load."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return _read_catalog_text(path, text)
+    head, blocks = _split_blocks(path, "[profile]", _PROFILE_FIELDS)
+    if head:
+        raise ParseError(path, head[0][0], "field outside a [profile] block")
+    profiles: dict[str, ManifoldProfile] = {}
+    for start, fields in blocks:
+        profile = _profile_from_fields(path, start, fields)
+        if profile.name in profiles:
+            raise ParseError(path, start, f"duplicate profile name {profile.name!r}")
+        profiles[profile.name] = profile
+    return profiles
 
 
 def builtin_catalog() -> dict[str, ManifoldProfile]:
     """The catalog shipped with the package."""
-    data = resources.files("excess_kit").joinpath("data/catalog.txt").read_text(
-        encoding="utf-8"
-    )
-    return _read_catalog_text("<builtin catalog>", data)
+    source = resources.files("excess_kit").joinpath("data/catalog.txt")
+    with resources.as_file(source) as path:
+        return read_catalog_file(str(path))
 
 
 def load_catalog(env: dict[str, str] | None = None) -> dict[str, ManifoldProfile]:
@@ -244,52 +249,37 @@ def read_family_file(
     bit string must have length equal to the ambient profile's b2_f2 (empty
     when that is zero). Returns the resolved ambient profile and the family.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    head, blocks = _split_blocks(path, "[surface]", _SURFACE_FIELDS)
     ambient: ManifoldProfile | None = None
     ambient_line = 0
-    blocks: list[_FieldBlock] = []
-    current: _FieldBlock | None = None
-    for number, line in _content_lines(path, text):
-        if line == "[surface]":
-            current = _FieldBlock(path, _SURFACE_FIELDS, "surface")
-            current.start_line = number
-            blocks.append(current)
-            continue
-        if line.startswith("["):
-            raise ParseError(path, number, f"unknown section {line!r}")
+    for number, line in head:
         key, value = _split_field(path, number, line)
-        if current is None:
-            if key != "ambient":
-                raise ParseError(
-                    path, number, f"expected 'ambient' before surfaces, got {key!r}"
-                )
-            if ambient is not None:
-                raise ParseError(path, number, "duplicate field 'ambient'")
-            if not value:
-                raise ParseError(path, number, "field 'ambient' is empty")
-            try:
-                ambient = resolve_profile(value, catalog)
-            except CatalogError as exc:
-                raise ParseError(path, number, str(exc)) from None
-            validate_profile(ambient)
-            ambient_line = number
-            continue
-        current.add(number, key, value)
+        if key != "ambient":
+            raise ParseError(
+                path, number, f"expected 'ambient' before surfaces, got {key!r}"
+            )
+        if ambient is not None:
+            raise ParseError(path, number, "duplicate field 'ambient'")
+        if not value:
+            raise ParseError(path, number, "field 'ambient' is empty")
+        try:
+            ambient = resolve_profile(value, catalog)
+        except CatalogError as exc:
+            raise ParseError(path, number, str(exc)) from None
+        validate_profile(ambient)
+        ambient_line = number
     if ambient is None:
         raise ParseError(path, 0, "missing field 'ambient'")
     if not blocks:
         raise ParseError(path, ambient_line, "family has no [surface] blocks")
 
     members: list[SurfaceDatum] = []
-    for block in blocks:
-        num, raw = block.require("genus")
-        genus = _parse_int(path, num, "genus", raw)
+    for start, fields in blocks:
+        num, genus = _int_field(path, start, fields, "genus", "surface")
         if genus < 1:
             raise ParseError(path, num, f"field 'genus' must be >= 1, got {genus}")
-        num, raw = block.require("euler_number")
-        euler = _parse_int(path, num, "euler_number", raw)
-        num, raw = block.require("class")
+        _, euler = _int_field(path, start, fields, "euler_number", "surface")
+        num, raw = _require(path, start, fields, "class", "surface")
         if raw.strip("01"):
             raise ParseError(path, num, f"field 'class' is not a bit string: {raw!r}")
         if len(raw) != ambient.b2_f2:

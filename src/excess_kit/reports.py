@@ -195,41 +195,23 @@ def render_audit_text(audit: PlaneAuditReport) -> str:
     return "\n".join(lines)
 
 
+def _render_fields(document: dict[str, Any]) -> str:
+    return "\n".join(f"{key}: {value}" for key, value in document.items())
+
+
 def render_budget_text(profile: ManifoldProfile, budget: BudgetReport) -> str:
-    return "\n".join(
-        [
-            f"profile: {profile.name}",
-            f"signature: {profile.signature}",
-            f"euler_characteristic: {profile.euler_characteristic}",
-            f"b1_f2: {profile.b1_f2}",
-            f"b2_f2: {budget.b2_f2}",
-            f"d_of_m: {budget.d_of_m}",
-            f"b_of_m: {budget.b_of_m}",
-        ]
-    )
+    return _render_fields(budget_document(profile, budget))
 
 
 def render_cover_text(cover: CoverProfile, consistency: ConsistencyResult) -> str:
-    lines = [
-        f"sigma_n: {cover.sigma_n}",
-        f"chi_n: {cover.chi_n}",
-        f"b1_f2_upper: {cover.b1_f2_upper}",
-        f"b2_f2_upper: {cover.b2_f2_upper}",
-        f"ramification_euler: {cover.ramification_euler}",
-    ]
-    if consistency.ok:
-        lines.append("consistency: ok")
-    else:
-        lines.append(f"consistency: violated ({consistency.witness})")
-    return "\n".join(lines)
+    document = cover_document(cover, consistency)
+    ok = document.pop("consistency_ok")
+    witness = document.pop("consistency_witness")
+    verdict = "ok" if ok else f"violated ({witness})"
+    return _render_fields(document) + f"\nconsistency: {verdict}"
 
 
 def render_tube_text(tubed: TubedSurface) -> str:
-    return "\n".join(
-        [
-            f"genus: {tubed.genus}",
-            f"euler_number: {tubed.euler_number}",
-            f"euler_characteristic: {tubed.euler_characteristic}",
-            f"mod2_class: {tubed.mod2_class.to01() or '(empty)'}",
-        ]
-    )
+    document = tube_document(tubed)
+    document["mod2_class"] = document["mod2_class"] or "(empty)"
+    return _render_fields(document)

@@ -238,3 +238,44 @@ def test_no_floats_anywhere_in_json(tmp_path, capsys):
                 walk(v)
 
     walk(json.loads(out))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "--manifold", "s4", "--planes", "/no/such/file"),
+        ("zerosum", "--vectors", "/no/such/file"),
+    ],
+)
+@pytest.mark.parametrize("exact", [(), ("--exact",)])
+def test_negative_effort_rejected_at_parse_time(capsys, argv, exact):
+    code, out, err = invoke(capsys, *argv, *exact, "--effort", "-5")
+    assert code == 2 and out == ""
+    assert "--effort" in err and "nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zerosum", "--vectors"),
+        ("check", "--manifold", "s4", "--family"),
+        ("tube", "--family"),
+    ],
+)
+def test_non_utf8_file_is_one_located_line(tmp_path, capsys, argv):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"ambient: s4\n[surface]\ngenus: 1\xff\n")
+    code, out, err = invoke(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"{path}:3: invalid UTF-8: ")
+    assert err.count("\n") == 1
+
+
+def test_invalid_profile_file_message_is_located(tmp_path, capsys):
+    profile = tmp_path / "p.txt"
+    profile.write_text(
+        "name: x\nsignature: 0\neuler_characteristic: 1\nb1_f2: 0\n", encoding="utf-8"
+    )
+    code, out, err = invoke(capsys, "bound", "--manifold", str(profile))
+    assert code == 2 and out == ""
+    assert err.startswith(f"{profile}:1: x: b2_f2 = ")

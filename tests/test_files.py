@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from excess_kit.errors import CatalogError, ParseError
+from excess_kit.errors import CatalogError, NegativeB2, ParseError, SignatureExceedsRank
 from excess_kit.fileio import (
     CATALOG_ENV_VAR,
     builtin_catalog,
@@ -21,6 +21,17 @@ def write(tmp_path, name: str, text: str) -> str:
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return str(p)
+
+
+def write_bytes(tmp_path, name: str, data: bytes) -> str:
+    p = tmp_path / name
+    p.write_bytes(data)
+    return str(p)
+
+
+def assert_decode_error(err, path: str, line: int) -> None:
+    assert err.value.path == path and err.value.line == line
+    assert str(err.value).startswith(f"{path}:{line}: invalid UTF-8: ")
 
 
 class TestVectorFile:
@@ -45,6 +56,14 @@ class TestVectorFile:
         with pytest.raises(ParseError) as err:
             read_vector_file(path)
         assert "length" in err.value.message
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_non_utf8_names_line(self, tmp_path, newline):
+        data = newline.join([b"# vectors", b"10", b"0\xff"]) + newline
+        path = write_bytes(tmp_path, "v.txt", data)
+        with pytest.raises(ParseError) as err:
+            read_vector_file(path)
+        assert_decode_error(err, path, 3)
 
 
 class TestProfileFile:
@@ -103,6 +122,24 @@ class TestProfileFile:
         with pytest.raises(NegativeB2):
             read_profile_file(path)
 
+    def test_invalid_profile_names_first_field_line(self, tmp_path):
+        path = write(
+            tmp_path,
+            "p.txt",
+            "# demo\n\nname: x\nsignature: 3\neuler_characteristic: 2\nb1_f2: 0\n",
+        )
+        with pytest.raises(SignatureExceedsRank) as err:
+            read_profile_file(path)
+        assert str(err.value).startswith(f"{path}:3: x: |signature| = 3")
+
+    def test_non_utf8_names_line(self, tmp_path):
+        path = write_bytes(
+            tmp_path, "p.txt", b"name: d\xe9mo\nsignature: 1\neuler_characteristic: 3\nb1_f2: 0\n"
+        )
+        with pytest.raises(ParseError) as err:
+            read_profile_file(path)
+        assert_decode_error(err, path, 1)
+
 
 class TestCatalog:
     def test_builtin_has_sphere(self):
@@ -129,6 +166,33 @@ class TestCatalog:
     def test_field_outside_block(self, tmp_path):
         with pytest.raises(ParseError):
             read_catalog_file(write(tmp_path, "cat.txt", "name: a\n"))
+
+    INVALID = (
+        "[profile]\nname: a\nsignature: 0\neuler_characteristic: 2\nb1_f2: 0\n"
+        "\n# second\n[profile]\nname: bad\nsignature: 0\neuler_characteristic: 1\nb1_f2: 0\n"
+    )
+
+    def test_invalid_profile_names_header_line(self, tmp_path):
+        path = write(tmp_path, "cat.txt", self.INVALID)
+        with pytest.raises(NegativeB2) as err:
+            read_catalog_file(path)
+        assert str(err.value).startswith(f"{path}:8: bad: b2_f2 = ")
+
+    def test_env_catalog_invalid_profile_names_header_line(self, tmp_path):
+        path = write(tmp_path, "extra.txt", self.INVALID)
+        with pytest.raises(NegativeB2) as err:
+            load_catalog(env={CATALOG_ENV_VAR: path})
+        assert str(err.value).startswith(f"{path}:8: bad: b2_f2 = ")
+
+    def test_non_utf8_names_line(self, tmp_path):
+        path = write_bytes(
+            tmp_path,
+            "cat.txt",
+            b"[profile]\nname: a\nsignature: 0\neuler_characteristic: 2\nb1_f2: 0\xc3",
+        )
+        with pytest.raises(ParseError) as err:
+            read_catalog_file(path)
+        assert_decode_error(err, path, 5)
 
     def test_env_catalog_merges(self, tmp_path):
         path = write(
@@ -243,3 +307,13 @@ class TestFamilyFile:
             read_family_file(path)
         assert err.value.path == path and err.value.line == 3
         assert str(err.value).startswith(f"{path}:3:")
+
+    def test_non_utf8_names_line(self, tmp_path):
+        path = write_bytes(
+            tmp_path,
+            "f.txt",
+            b"ambient: s4\n[surface]\ngenus: 1\neuler_number: 2\nclass: \x80\n",
+        )
+        with pytest.raises(ParseError) as err:
+            read_family_file(path)
+        assert_decode_error(err, path, 5)

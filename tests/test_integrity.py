@@ -1,8 +1,9 @@
-"""Exit-code integrity, strict integer input, and no bare asserts in the package."""
+"""Exit-code integrity, strict integer input, no bare asserts, and the public names."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -93,3 +94,85 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert)
         ]
     assert offenders == []
+
+
+PUBLIC_NAMES = {
+    "excess_kit": [
+        "ASSUMPTIONS", "BudgetReport", "CatalogError", "ConsistencyResult",
+        "CoverProfile", "DimensionMismatch", "EffortExceeded", "EmptyFamily",
+        "EulerTooSmall", "ExcessKitError", "Gf2Collection", "Gf2Vector",
+        "HypothesisRecord", "InvalidGenus", "ManifoldProfile", "NegativeB2",
+        "NotABasis", "NotAPlaneFamily", "NotInSpan", "NotModTwoNull",
+        "ObstructionReport", "OddEulerNumber", "ParseError", "PlaneAuditReport",
+        "ProofTrace", "SignClass", "SignatureExceedsRank", "SubsetCertificate",
+        "SurfaceDatum", "SurfaceFamily", "TraceStep", "TubedSurface", "Verdict",
+        "batch_check", "branched_double_cover", "budget_report",
+        "bundle_to_surface", "check_hypotheses", "consistency_check",
+        "coordinates", "excess_budget", "excess_check", "greedy_basis",
+        "massey_admissible_set", "massey_check", "max_zero_sum_subset",
+        "plane_bound", "plane_family_audit", "rank", "sign_class",
+        "signature_defect", "tube", "validate_profile", "zero_sum_subcollection",
+        "__version__",
+    ],
+    "excess_kit.cli": ["build_parser", "run", "main"],
+    "excess_kit.covers": [
+        "CoverProfile", "ConsistencyResult", "branched_double_cover",
+        "cover_chain", "signature_defect", "consistency_check",
+    ],
+    "excess_kit.engine": [
+        "Verdict", "TraceStep", "ProofTrace", "HypothesisRecord",
+        "ObstructionReport", "PlaneAuditReport", "ASSUMPTIONS",
+        "check_hypotheses", "excess_check", "plane_family_audit", "batch_check",
+    ],
+    "excess_kit.fileio": [
+        "read_vector_file", "read_profile_file", "read_catalog_file",
+        "builtin_catalog", "load_catalog", "resolve_profile", "read_family_file",
+        "parse_decimal", "CATALOG_ENV_VAR",
+    ],
+    "excess_kit.gf2": [
+        "Gf2Vector", "Gf2Collection", "SubsetCertificate", "rank", "greedy_basis",
+        "coordinates", "zero_sum_subcollection", "max_zero_sum_subset",
+        "EXHAUSTIVE_LIMIT", "DEFAULT_EFFORT_LIMIT",
+    ],
+    "excess_kit.manifolds": [
+        "ManifoldProfile", "BudgetReport", "validate_profile", "excess_budget",
+        "plane_bound", "budget_report",
+    ],
+    "excess_kit.reports": [
+        "canonical_json", "report_document", "audit_document", "budget_document",
+        "cover_document", "tube_document", "certificate_document",
+        "render_report_text", "render_audit_text", "render_budget_text",
+        "render_cover_text", "render_tube_text",
+    ],
+    "excess_kit.surfaces": [
+        "SurfaceDatum", "SurfaceFamily", "TubedSurface", "SignClass", "tube",
+        "sign_class", "massey_admissible_set", "massey_check", "bundle_to_surface",
+    ],
+}
+
+# errors.py has no __all__; its public surface is the exception classes it defines.
+ERROR_CLASSES = [
+    "ExcessKitError", "ParseError", "CatalogError", "NotInSpan", "NotABasis",
+    "EffortExceeded", "NegativeB2", "SignatureExceedsRank", "EmptyFamily",
+    "InvalidGenus", "NotModTwoNull", "OddEulerNumber", "DimensionMismatch",
+    "NotAPlaneFamily", "EulerTooSmall",
+]
+
+
+@pytest.mark.parametrize("module_name", sorted(PUBLIC_NAMES))
+def test_public_names_are_pinned_and_resolve(module_name):
+    module = importlib.import_module(module_name)
+    assert module.__all__ == PUBLIC_NAMES[module_name]
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_error_classes_are_pinned():
+    from excess_kit import errors
+
+    defined = [
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and value.__module__ == errors.__name__
+    ]
+    assert defined == ERROR_CLASSES
