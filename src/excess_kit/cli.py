@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any, Callable
 
 from . import reports
 from .covers import branched_double_cover, consistency_check
 from .engine import Verdict, excess_check, plane_family_audit
-from .errors import ExcessKitError
+from .errors import CatalogError, ExcessKitError
 from .fileio import (
     load_catalog,
     parse_decimal,
@@ -25,7 +26,7 @@ from .fileio import (
 )
 from .gf2 import Gf2Vector, max_zero_sum_subset, zero_sum_subcollection
 from .manifolds import ManifoldProfile, budget_report
-from .surfaces import SurfaceFamily, TubedSurface, massey_admissible_set, tube
+from .surfaces import SurfaceDatum, SurfaceFamily, massey_admissible_set, tube
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -135,8 +136,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         return 0
     profile = catalog.get(args.name)
     if profile is None:
-        print(f"unknown catalog profile {args.name!r}", file=sys.stderr)
-        return 2
+        raise CatalogError(f"unknown catalog profile {args.name!r}")
     return _print_budget(profile)
 
 
@@ -163,14 +163,23 @@ def _load_family_for(ref: str, path: str) -> tuple[ManifoldProfile, SurfaceFamil
     return profile, family
 
 
+def _print_verdict(
+    args: argparse.Namespace, report: Any, document: Callable, render: Callable
+) -> int:
+    """Print a check or audit report in args.format; its verdict is the exit code."""
+    if args.format == "json":
+        print(reports.canonical_json(document(report)))
+    else:
+        print(render(report))
+    return _VERDICT_EXIT[report.verdict]
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     profile, family = _load_family_for(args.manifold, args.family)
     report = excess_check(profile, family)
-    if args.format == "json":
-        print(reports.canonical_json(reports.report_document(report)))
-    else:
-        print(reports.render_report_text(report))
-    return _VERDICT_EXIT[report.verdict]
+    return _print_verdict(
+        args, report, reports.report_document, reports.render_report_text
+    )
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -178,11 +187,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     audit = plane_family_audit(
         profile, family, use_exact=args.exact, effort_limit=args.effort
     )
-    if args.format == "json":
-        print(reports.canonical_json(reports.audit_document(audit)))
-    else:
-        print(reports.render_audit_text(audit))
-    return _VERDICT_EXIT[audit.verdict]
+    return _print_verdict(args, audit, reports.audit_document, reports.render_audit_text)
 
 
 def _cmd_tube(args: argparse.Namespace) -> int:
@@ -197,13 +202,9 @@ def _cmd_cover(args: argparse.Namespace) -> int:
         mod2_class = Gf2Vector.zero(profile.b2_f2)
     else:
         mod2_class = Gf2Vector.from_string(args.class_bits)
-    surface = TubedSurface(
-        genus=args.genus,
-        euler_number=args.euler,
-        euler_characteristic=2 - args.genus,
-        mod2_class=mod2_class,
-    )
-    cover = branched_double_cover(profile, surface)
+    surface = SurfaceDatum(args.genus, args.euler, mod2_class)
+    tubed = tube(SurfaceFamily(mod2_class.dim, (surface,)))
+    cover = branched_double_cover(profile, tubed)
     print(reports.render_cover_text(cover, consistency_check(cover)))
     return 0
 

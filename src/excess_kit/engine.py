@@ -309,26 +309,25 @@ def excess_check(m: ManifoldProfile, family: SurfaceFamily) -> ObstructionReport
     tb.add("budget-forms-agree", rhs, "=", rhs, "budget-closed-forms")
     tb.compare("excess-vs-budget", lhs, rhs, "excess-bound")
 
+    exceeds = rank_step.lhs > rank_step.rhs
     if lhs > rhs:
         verdict = Verdict.OBSTRUCTED
         # The chain guarantees the doubled comparison fails whenever the
         # final bound does, so an obstruction always has a concrete witness.
-        if rank_step.lhs <= rank_step.rhs:
+        if not exceeds:
             raise AssertionError("obstructed without a failing cover comparison")
-        notes.append(
-            "cover signature exceeds its rank bound"
-            f" ({rank_step.lhs} > {rank_step.rhs}, doubled values):"
-            " no closed oriented 4-manifold has these cover invariants"
-        )
+        ending = ": no closed oriented 4-manifold has these cover invariants"
     else:
         verdict = Verdict.BOUND_SATISFIED
-        if rank_step.lhs > rank_step.rhs:
-            notes.append(
-                "cover signature exceeds its rank bound"
-                f" ({rank_step.lhs} > {rank_step.rhs}, doubled values)"
-                " although the final excess bound holds; no conclusion is"
-                " drawn from the interim comparison"
-            )
+        ending = (
+            " although the final excess bound holds;"
+            " no conclusion is drawn from the interim comparison"
+        )
+    if exceeds:
+        notes.append(
+            "cover signature exceeds its rank bound"
+            f" ({rank_step.lhs} > {rank_step.rhs}, doubled values){ending}"
+        )
     return ObstructionReport(
         verdict=verdict,
         lhs=lhs,

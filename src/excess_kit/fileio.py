@@ -1,9 +1,9 @@
 """Strict parsers for the on-disk formats and the profile catalog.
 
-All formats are line-oriented UTF-8 text: blank lines and `#` comments are
-ignored everywhere, fields are `key: value` pairs, and block headers are
-bracketed section names. Unknown or duplicate fields are errors — fixture
-typos must fail loudly, not silently default.
+All formats are UTF-8 text with lines ended by \\n, \\r\\n or \\r only. Blank
+lines and `#` comments are ignored everywhere, fields are `key: value`
+pairs, and block headers are bracketed section names. Unknown or duplicate
+fields are errors — fixture typos must fail loudly, not silently default.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ _SURFACE_FIELDS = ("genus", "euler_number", "class")
 _Fields = dict[str, tuple[int, str]]
 
 
+def _split_lines(text: str) -> list[str]:
+    """Lines ended by \\n, \\r\\n or \\r only, unlike str.splitlines()."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _read_lines(path: str) -> list[tuple[int, str]]:
     """(line_number, stripped_text) of the content lines of a UTF-8 file."""
     with open(path, "rb") as fh:
@@ -44,14 +49,13 @@ def _read_lines(path: str) -> list[tuple[int, str]]:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The bytes before the bad one decode; the sentinel stands in for it,
-        # so the count ends on the line that holds it.
-        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        # The bytes before the bad one decode; it sits on their last line.
+        line = len(_split_lines(data[: exc.start].decode("utf-8")))
         raise ParseError(
             path, line, f"invalid UTF-8: {exc.reason} at byte offset {exc.start}"
         ) from None
     lines = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(_split_lines(text), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             lines.append((number, line))

@@ -111,12 +111,7 @@ class Gf2Collection:
     @classmethod
     def from_strings(cls, lines: Sequence[str]) -> Gf2Collection:
         vecs = tuple(Gf2Vector.from_string(s) for s in lines)
-        if not vecs:
-            return cls(0, ())
-        dims = {v.dim for v in vecs}
-        if len(dims) != 1:
-            raise ValueError("vectors of mixed dimension")
-        return cls(vecs[0].dim, vecs)
+        return cls(vecs[0].dim if vecs else 0, vecs)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -187,8 +182,7 @@ class _Eliminator:
 
 def rank(collection: Gf2Collection) -> int:
     """Dimension of the span of the collection."""
-    elim = _Eliminator()
-    return sum(1 for v in collection.vectors if elim.insert(v.bits))
+    return len(greedy_basis(collection))
 
 
 def greedy_basis(collection: Gf2Collection) -> tuple[int, ...]:

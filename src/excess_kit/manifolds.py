@@ -81,13 +81,11 @@ def excess_budget(profile: ManifoldProfile) -> int:
 
 def plane_bound(profile: ManifoldProfile) -> int:
     """Family-size budget B = 2*(b2_f2 + D)."""
-    return 2 * (profile.b2_f2 + excess_budget(profile))
+    return budget_report(profile).b_of_m
 
 
 def budget_report(profile: ManifoldProfile) -> BudgetReport:
     """Assemble the derived rank and both budgets for one profile."""
-    return BudgetReport(
-        b2_f2=profile.b2_f2,
-        d_of_m=excess_budget(profile),
-        b_of_m=plane_bound(profile),
-    )
+    b2 = profile.b2_f2
+    d = excess_budget(profile)
+    return BudgetReport(b2_f2=b2, d_of_m=d, b_of_m=2 * (b2 + d))

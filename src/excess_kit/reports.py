@@ -33,21 +33,15 @@ __all__ = [
 ]
 
 
-def _check_no_floats(value: Any, path: str = "$") -> None:
-    if isinstance(value, float):
-        raise TypeError(f"float at {path} — documents must be exact")
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _check_no_floats(v, f"{path}.{k}")
-    elif isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            _check_no_floats(v, f"{path}[{i}]")
+def _reject_float(literal: str) -> None:
+    raise TypeError(f"float {literal} in document — documents must be exact")
 
 
 def canonical_json(document: Any) -> str:
-    """Serialize with sorted keys and fixed separators; rejects floats."""
-    _check_no_floats(document)
-    return json.dumps(document, sort_keys=True, indent=2, ensure_ascii=True)
+    """Serialize with sorted keys and fixed separators; no float, NaN or infinity."""
+    text = json.dumps(document, sort_keys=True, indent=2, ensure_ascii=True)
+    json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+    return text
 
 
 def _trace_document(trace: ProofTrace) -> list[dict[str, Any]]:
@@ -140,27 +134,31 @@ def certificate_document(cert: SubsetCertificate) -> dict[str, Any]:
     return {"indices": list(cert.sorted_indices()), "size": cert.size}
 
 
-def _render_trace(trace: ProofTrace, indent: str = "  ") -> list[str]:
-    lines = []
+def _render_trace(trace: ProofTrace) -> list[str]:
+    lines = ["trace:"]
     for i, s in enumerate(trace, start=1):
-        lines.append(f"{indent}{i}. {s.label}: {s.lhs} {s.rel} {s.rhs}  [{s.anchor}]")
+        lines.append(f"  {i}. {s.label}: {s.lhs} {s.rel} {s.rhs}  [{s.anchor}]")
+    return lines
+
+
+def _render_remarks(report: ObstructionReport | PlaneAuditReport) -> list[str]:
+    lines = ["assumptions:"]
+    lines.extend(f"  - {a}" for a in report.assumptions)
+    if report.notes:
+        lines.append("notes:")
+        lines.extend(f"  - {n}" for n in report.notes)
     return lines
 
 
 def render_report_text(report: ObstructionReport, indent: str = "") -> str:
-    lines = [f"{indent}verdict: {report.verdict.value}"]
+    lines = [f"verdict: {report.verdict.value}"]
     if report.failed_hypothesis is not None:
-        lines.append(f"{indent}failed hypothesis: {report.failed_hypothesis}")
-    lines.append(f"{indent}excess (lhs): {report.lhs}")
-    lines.append(f"{indent}budget (rhs): {report.rhs}")
-    lines.append(f"{indent}trace:")
-    lines.extend(_render_trace(report.trace, indent + "  "))
-    lines.append(f"{indent}assumptions:")
-    lines.extend(f"{indent}  - {a}" for a in report.assumptions)
-    if report.notes:
-        lines.append(f"{indent}notes:")
-        lines.extend(f"{indent}  - {n}" for n in report.notes)
-    return "\n".join(lines)
+        lines.append(f"failed hypothesis: {report.failed_hypothesis}")
+    lines.append(f"excess (lhs): {report.lhs}")
+    lines.append(f"budget (rhs): {report.rhs}")
+    lines.extend(_render_trace(report.trace))
+    lines.extend(_render_remarks(report))
+    return "\n".join(indent + line for line in lines)
 
 
 def render_audit_text(audit: PlaneAuditReport) -> str:
@@ -182,16 +180,11 @@ def render_audit_text(audit: PlaneAuditReport) -> str:
             + (",".join(str(i) for i in audit.zero_sum_indices) or "none")
         )
     lines.append(f"zero-sum mode: {'exact' if audit.exact_used else 'constructive'}")
-    lines.append("trace:")
     lines.extend(_render_trace(audit.trace))
     if audit.subfamily_report is not None:
         lines.append("subfamily check:")
         lines.append(render_report_text(audit.subfamily_report, indent="  "))
-    lines.append("assumptions:")
-    lines.extend(f"  - {a}" for a in audit.assumptions)
-    if audit.notes:
-        lines.append("notes:")
-        lines.extend(f"  - {n}" for n in audit.notes)
+    lines.extend(_render_remarks(audit))
     return "\n".join(lines)
 
 

@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 
+def _require_genus(genus: int) -> None:
+    if genus < 1:
+        raise InvalidGenus(f"nonorientable genus must be >= 1, got {genus}")
+
+
 @dataclass(frozen=True)
 class SurfaceDatum:
     """One nonorientable surface: genus, twisted normal Euler number, class."""
@@ -36,10 +41,7 @@ class SurfaceDatum:
     mod2_class: Gf2Vector
 
     def __post_init__(self):
-        if self.genus < 1:
-            raise InvalidGenus(
-                f"nonorientable genus must be >= 1, got {self.genus}"
-            )
+        _require_genus(self.genus)
 
     @property
     def euler_characteristic(self) -> int:
@@ -84,10 +86,7 @@ class TubedSurface:
     mod2_class: Gf2Vector
 
     def __post_init__(self):
-        if self.genus < 1:
-            raise InvalidGenus(
-                f"nonorientable genus must be >= 1, got {self.genus}"
-            )
+        _require_genus(self.genus)
         if self.euler_characteristic != 2 - self.genus:
             raise ValueError(
                 f"euler_characteristic {self.euler_characteristic} != 2 - genus"
@@ -145,15 +144,13 @@ def massey_admissible_set(genus: int) -> list[int]:
     The set {-2g, -2g+4, ..., 2g}: g+1 values, symmetric about zero, all
     congruent to 2g mod 4 and bounded by 2g in absolute value.
     """
-    if genus < 1:
-        raise InvalidGenus(f"nonorientable genus must be >= 1, got {genus}")
+    _require_genus(genus)
     return list(range(-2 * genus, 2 * genus + 1, 4))
 
 
 def massey_check(genus: int, euler_number: int) -> bool:
     """True iff the Euler number lies in the admissible set for this genus."""
-    if genus < 1:
-        raise InvalidGenus(f"nonorientable genus must be >= 1, got {genus}")
+    _require_genus(genus)
     return (
         abs(euler_number) <= 2 * genus
         and (euler_number - 2 * genus) % 4 == 0
@@ -168,8 +165,6 @@ def bundle_to_surface(
     The bundle's twisted Euler number transfers unchanged to the embedded
     zero section; genus and class pass through as given.
     """
-    if genus < 1:
-        raise InvalidGenus(f"nonorientable genus must be >= 1, got {genus}")
     return SurfaceDatum(
         genus=genus, euler_number=twisted_euler, mod2_class=mod2_class
     )

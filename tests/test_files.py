@@ -317,3 +317,59 @@ class TestFamilyFile:
         with pytest.raises(ParseError) as err:
             read_family_file(path)
         assert_decode_error(err, path, 5)
+
+
+# Characters that str.splitlines() treats as line ends but an editor does not.
+NOT_LINE_BREAKS = ["\f", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineBreaks:
+    """Only \\n, \\r\\n and \\r end a line; other separators stay in the line."""
+
+    COMMENT = "# notes{}page two\n"
+
+    @pytest.mark.parametrize("sep", NOT_LINE_BREAKS)
+    def test_comment_with_separator_parses_everywhere(self, tmp_path, sep):
+        comment = self.COMMENT.format(sep)
+        profile = read_profile_file(
+            write(
+                tmp_path,
+                "p.txt",
+                "name: demo\n" + comment + "signature: 1\neuler_characteristic: 3\n"
+                "b1_f2: 0\n",
+            )
+        )
+        assert profile.name == "demo" and profile.signature == 1
+        catalog = read_catalog_file(
+            write(tmp_path, "cat.txt", "[profile]\n" + comment + TestProfileFile.GOOD)
+        )
+        assert sorted(catalog) == ["demo"]
+        _, family = read_family_file(
+            write(
+                tmp_path,
+                "f.txt",
+                "ambient: s4\n" + comment + "[surface]\ngenus: 1\neuler_number: 2\nclass:\n",
+            )
+        )
+        assert [(s.genus, s.euler_number) for s in family.members] == [(1, 2)]
+        vectors = read_vector_file(write(tmp_path, "v.txt", "10\n" + comment + "01\n"))
+        assert [v.to01() for v in vectors] == ["10", "01"]
+
+    @pytest.mark.parametrize("sep", NOT_LINE_BREAKS)
+    def test_fault_after_separator_names_editor_line(self, tmp_path, sep):
+        path = write(
+            tmp_path,
+            "f.txt",
+            f"ambient: s4\n[surface]\ngenus: 1\n# note{sep}\neuler_number: 2\ngenus: 1\n",
+        )
+        with pytest.raises(ParseError) as err:
+            read_family_file(path)
+        assert err.value.line == 6 and "duplicate field 'genus'" in err.value.message
+
+    @pytest.mark.parametrize("sep", NOT_LINE_BREAKS)
+    def test_decode_error_line_counts_only_line_breaks(self, tmp_path, sep):
+        data = f"# a{sep}b\n10\n".encode("utf-8") + b"0\xff\n"
+        path = write_bytes(tmp_path, "v.txt", data)
+        with pytest.raises(ParseError) as err:
+            read_vector_file(path)
+        assert_decode_error(err, path, 3)

@@ -4,7 +4,9 @@ A seeded corpus of excess checks, batches, plane audits (constructive and
 exact) and exact zero-sum solves is rendered to canonical JSON and to text,
 and compared byte for byte with the files under tests/data/. The corpus
 spans profiles with nonzero signature, positive b1 and b2 = 0, families
-with odd total Euler number, and all three verdicts.
+with odd total Euler number, and all three verdicts. A fixed set of CLI
+invocations, one or more per command, pins the exit code, stdout and stderr
+of ``cli.run``.
 
 The expected files are written by running this module as a script:
 
@@ -15,10 +17,17 @@ Only do that for an intended change of output, and review the diff.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
 import pathlib
 import random
+import tempfile
+from unittest import mock
 
+from excess_kit.cli import run
 from excess_kit.engine import Verdict, batch_check, excess_check, plane_family_audit
+from excess_kit.fileio import CATALOG_ENV_VAR
 from excess_kit.gf2 import Gf2Collection, Gf2Vector, max_zero_sum_subset
 from excess_kit.manifolds import ManifoldProfile, excess_budget
 from excess_kit.reports import (
@@ -171,10 +180,118 @@ def render_solves() -> str:
     return "".join(out)
 
 
+# Input files for the CLI corpus; "{dir}" stands for the directory they live in.
+CLI_FILES = {
+    "s2xs2.txt": "name: s2xs2\nsignature: 0\neuler_characteristic: 4\nb1_f2: 0\n",
+    "obstructed.txt": "ambient: s4\n[surface]\ngenus: 2\neuler_number: 8\nclass:\n",
+    "satisfied.txt": "ambient: s4\n[surface]\ngenus: 1\neuler_number: 2\nclass:\n",
+    "mixed.txt": (
+        "ambient: s4\n[surface]\ngenus: 1\neuler_number: 2\nclass:\n"
+        "[surface]\ngenus: 3\neuler_number: -2\nclass:\n"
+    ),
+    "plane.txt": "ambient: s4\n[surface]\ngenus: 1\neuler_number: 4\nclass:\n",
+    "fit.txt": (
+        "ambient: {dir}/s2xs2.txt\n"
+        "[surface]\ngenus: 1\neuler_number: 4\nclass: 10\n"
+        "[surface]\ngenus: 1\neuler_number: -5\nclass: 01\n"
+    ),
+    "overflow.txt": (
+        "ambient: {dir}/s2xs2.txt\n"
+        "[surface]\ngenus: 1\neuler_number: 9\nclass: 10\n"
+        "[surface]\ngenus: 1\neuler_number: 9\nclass: 10\n"
+        "[surface]\ngenus: 1\neuler_number: 5\nclass: 01\n"
+    ),
+    "nonplane.txt": "ambient: s4\n[surface]\ngenus: 2\neuler_number: 4\nclass:\n",
+    "vectors.txt": "# six vectors of length 4\n1100\n0110\n0011\n1001\n1111\n1010\n",
+}
+
+# (case name, argv); "{dir}" as in CLI_FILES.
+CLI_CASES = (
+    ("check text obstructed", "check --manifold s4 --family {dir}/obstructed.txt"),
+    (
+        "check json obstructed",
+        "check --manifold s4 --family {dir}/obstructed.txt --format json",
+    ),
+    ("check text satisfied", "check --manifold s4 --family {dir}/satisfied.txt"),
+    (
+        "check json satisfied",
+        "check --manifold s4 --family {dir}/satisfied.txt --format json",
+    ),
+    ("check text hypothesis", "check --manifold s4 --family {dir}/mixed.txt"),
+    ("check json hypothesis", "check --manifold s4 --family {dir}/mixed.txt --format json"),
+    (
+        "check ambient mismatch",
+        "check --manifold {dir}/s2xs2.txt --family {dir}/satisfied.txt",
+    ),
+    ("audit text count", "audit --manifold s4 --planes {dir}/plane.txt"),
+    ("audit json count", "audit --manifold s4 --planes {dir}/plane.txt --format json"),
+    ("audit text fit", "audit --manifold {dir}/s2xs2.txt --planes {dir}/fit.txt"),
+    (
+        "audit json fit",
+        "audit --manifold {dir}/s2xs2.txt --planes {dir}/fit.txt --format json",
+    ),
+    ("audit text overflow", "audit --manifold {dir}/s2xs2.txt --planes {dir}/overflow.txt"),
+    (
+        "audit json overflow exact",
+        "audit --manifold {dir}/s2xs2.txt --planes {dir}/overflow.txt --exact --format json",
+    ),
+    (
+        "audit text overflow exact",
+        "audit --manifold {dir}/s2xs2.txt --planes {dir}/overflow.txt --exact",
+    ),
+    ("audit not a plane family", "audit --manifold s4 --planes {dir}/nonplane.txt"),
+    ("catalog list", "catalog list"),
+    ("catalog show known", "catalog show s4"),
+    ("catalog show unknown", "catalog show missing"),
+    ("bound catalog", "bound --manifold s4"),
+    ("bound file", "bound --manifold {dir}/s2xs2.txt"),
+    ("cover valid", "cover --manifold {dir}/s2xs2.txt --genus 3 --euler 6 --class 00"),
+    ("cover odd euler", "cover --manifold s4 --genus 1 --euler 3"),
+    ("cover genus 0", "cover --manifold s4 --genus 0 --euler 0"),
+    (
+        "cover wrong class length",
+        "cover --manifold {dir}/s2xs2.txt --genus 1 --euler 2 --class 1",
+    ),
+    ("tube", "tube --family {dir}/mixed.txt"),
+    ("zerosum constructive", "zerosum --vectors {dir}/vectors.txt"),
+    ("zerosum exact", "zerosum --vectors {dir}/vectors.txt --exact"),
+    ("zerosum over budget", "zerosum --vectors {dir}/vectors.txt --exact --effort 3"),
+    ("massey valid", "massey --genus 3"),
+    ("massey genus 0", "massey --genus 0"),
+)
+
+CLI_DIR = "<dir>"
+
+
+def render_cli() -> str:
+    """Exit code, stdout and stderr of each CLI case, temporary paths masked.
+
+    The cases run without an extra catalog, whatever the environment says.
+    """
+    out = []
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop(CATALOG_ENV_VAR, None)
+        for filename, text in CLI_FILES.items():
+            (pathlib.Path(tmp) / filename).write_text(text.format(dir=tmp), encoding="utf-8")
+        for name, command in CLI_CASES:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run(command.format(dir=tmp).split())
+            body = (
+                f"$ excess-kit {command.format(dir=CLI_DIR)}\n"
+                f"exit: {code}\n"
+                f"--- stdout\n{stdout.getvalue()}"
+                f"--- stderr\n{stderr.getvalue()}"
+            )
+            out.append(_block(name, body.replace(tmp, CLI_DIR)))
+    return "".join(out)
+
+
 GOLDEN = {
     "golden_check.txt": render_checks,
     "golden_audit.txt": render_audits,
     "golden_solve.txt": render_solves,
+    "golden_cli.txt": render_cli,
 }
 
 
@@ -206,6 +323,10 @@ def test_plane_audit_bytes():
 
 def test_exact_solver_bytes():
     _assert_same(render_solves(), "golden_solve.txt")
+
+
+def test_cli_bytes():
+    _assert_same(render_cli(), "golden_cli.txt")
 
 
 def test_corpus_covers_every_verdict_and_odd_euler_totals():

@@ -31,6 +31,14 @@ def test_canonical_json_rejects_floats():
         canonical_json({"x": 1.5})
     with pytest.raises(TypeError):
         canonical_json({"x": [1, {"y": 2.0}]})
+    with pytest.raises(TypeError):
+        canonical_json({"x": float("nan")})
+    with pytest.raises(TypeError):
+        canonical_json({"x": float("-inf")})
+    with pytest.raises(TypeError):
+        canonical_json({"x": (1, 2.5)})
+    with pytest.raises(TypeError):
+        canonical_json({"x": [{"a": 1}, {"b": [{"c": 0.5}]}]})
 
 
 def test_canonical_json_is_stable_under_reparse():

@@ -12,6 +12,7 @@ from excess_kit.surfaces import (
     SignClass,
     SurfaceDatum,
     SurfaceFamily,
+    TubedSurface,
     bundle_to_surface,
     massey_admissible_set,
     massey_check,
@@ -166,3 +167,23 @@ class TestBundleToSurface:
     def test_invalid_genus(self):
         with pytest.raises(InvalidGenus):
             bundle_to_surface(0, 2, Gf2Vector.zero(0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SurfaceDatum(genus=0, euler_number=2, mod2_class=Gf2Vector.zero(0)),
+        lambda: TubedSurface(
+            genus=0, euler_number=2, euler_characteristic=2, mod2_class=Gf2Vector.zero(0)
+        ),
+        lambda: massey_admissible_set(0),
+        lambda: massey_check(0, 0),
+        lambda: bundle_to_surface(0, 2, Gf2Vector.zero(0)),
+    ],
+    ids=["SurfaceDatum", "TubedSurface", "massey_admissible_set", "massey_check",
+         "bundle_to_surface"],
+)
+def test_genus_zero_message_is_shared(build):
+    with pytest.raises(InvalidGenus) as err:
+        build()
+    assert str(err.value) == "nonorientable genus must be >= 1, got 0"
