@@ -26,7 +26,7 @@ from .fileio import (
 )
 from .gf2 import Gf2Vector, max_zero_sum_subset, zero_sum_subcollection
 from .manifolds import ManifoldProfile, budget_report
-from .surfaces import SurfaceDatum, SurfaceFamily, massey_admissible_set, tube
+from .surfaces import SurfaceDatum, SurfaceFamily, _admissible_range, tube
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -220,8 +220,11 @@ def _cmd_zerosum(args: argparse.Namespace) -> int:
 
 
 def _cmd_massey(args: argparse.Namespace) -> int:
-    values = massey_admissible_set(args.genus)
-    print(" ".join(str(v) for v in values))
+    values = _admissible_range(args.genus)
+    step = 4096  # values per write, so memory stays flat whatever the genus
+    for i in range(0, len(values), step):
+        end = "\n" if i + step >= len(values) else " "
+        print(" ".join(map(str, values[i : i + step])), end=end)
     return 0
 
 

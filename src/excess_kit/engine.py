@@ -228,11 +228,11 @@ def excess_check(m: ManifoldProfile, family: SurfaceFamily) -> ObstructionReport
     When both hypotheses hold the full derivation is recorded: tubing sums,
     the no-cancellation identity, the doubled cover signature and its
     defect, the triangle bound on the Euler sum, the cover rank bound, the
-    signature-versus-rank comparison, the budget's two closed forms, and the
-    final excess-versus-budget comparison. Each quantity is derived once and
-    the trace records it. When a hypothesis fails only the tubing arithmetic
-    is recorded and the verdict is HypothesisFailure naming the failing
-    hypothesis.
+    signature-versus-rank comparison, the budget (one value, recorded on
+    both sides of budget-forms-agree), and the final excess-versus-budget
+    comparison. Each quantity is derived once and the trace records it.
+    When a hypothesis fails only the tubing arithmetic is recorded and the
+    verdict is HypothesisFailure naming the failing hypothesis.
     """
     rhs = excess_budget(m)
     tubed, hyp = _tube_and_check(m, family)

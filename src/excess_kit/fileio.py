@@ -33,6 +33,7 @@ CATALOG_ENV_VAR = "EXCESS_KIT_CATALOG"
 
 _PROFILE_FIELDS = ("name", "signature", "euler_characteristic", "b1_f2")
 _SURFACE_FIELDS = ("genus", "euler_number", "class")
+_HEAD_FIELDS: dict[str, tuple[str, ...]] = {"catalog": (), "family": ("ambient",)}
 
 _Fields = dict[str, tuple[int, str]]
 
@@ -62,46 +63,45 @@ def _read_lines(path: str) -> list[tuple[int, str]]:
     return lines
 
 
-def _split_field(path: str, number: int, line: str) -> tuple[str, str]:
-    key, sep, value = line.partition(":")
-    if not sep:
-        raise ParseError(path, number, f"expected 'field: value', got {line!r}")
-    return key.strip(), value.strip()
-
-
 def _add_field(
     path: str, number: int, line: str, fields: _Fields, allowed: tuple[str, ...], what: str
 ) -> None:
-    key, value = _split_field(path, number, line)
+    key, sep, value = line.partition(":")
+    if not sep:
+        raise ParseError(path, number, f"expected 'field: value', got {line!r}")
+    key = key.strip()
     if key not in allowed:
         raise ParseError(path, number, f"unknown {what} field {key!r}")
     if key in fields:
         raise ParseError(path, number, f"duplicate field {key!r}")
-    fields[key] = (number, value)
+    fields[key] = (number, value.strip())
 
 
 def _split_blocks(
-    path: str, header: str, allowed: tuple[str, ...]
-) -> tuple[list[tuple[int, str]], list[tuple[int, _Fields]]]:
-    """Split a file into blocks opened by `header` lines.
+    path: str, kind: str, header: str, allowed: tuple[str, ...]
+) -> tuple[_Fields, list[tuple[int, _Fields]]]:
+    """Split a `kind` file into its head and the blocks opened by `header` lines.
 
-    Returns the content lines before the first header, left to the caller,
-    and one (header line number, {field: (line number, value)}) per block.
+    The head is the lines before the first header: the kind's head fields,
+    read like block fields. A kind without head fields rejects a first line
+    that is not a header, but only once every line's form has been checked.
+    Returns the head fields and one (header line number, {field: (line
+    number, value)}) per block.
     """
-    what = header.strip("[]")
-    head: list[tuple[int, str]] = []
+    head: _Fields = {}
     blocks: list[tuple[int, _Fields]] = []
-    fields: _Fields | None = None
-    for number, line in _read_lines(path):
+    fields, keys, what = head, _HEAD_FIELDS[kind], kind
+    lines = _read_lines(path)
+    for number, line in lines:
         if line == header:
-            fields = {}
+            fields, keys, what = {}, allowed, header.strip("[]")
             blocks.append((number, fields))
         elif line.startswith("["):
             raise ParseError(path, number, f"unknown section {line!r}")
-        elif fields is None:
-            head.append((number, line))
-        else:
-            _add_field(path, number, line, fields, allowed, what)
+        elif keys:
+            _add_field(path, number, line, fields, keys, what)
+    if not _HEAD_FIELDS[kind] and lines and lines[0][1] != header:
+        raise ParseError(path, lines[0][0], f"field outside a {header} block")
     return head, blocks
 
 
@@ -187,9 +187,7 @@ def read_profile_file(path: str) -> ManifoldProfile:
 
 def read_catalog_file(path: str) -> dict[str, ManifoldProfile]:
     """Read a catalog of [profile] blocks, each validated on load."""
-    head, blocks = _split_blocks(path, "[profile]", _PROFILE_FIELDS)
-    if head:
-        raise ParseError(path, head[0][0], "field outside a [profile] block")
+    _, blocks = _split_blocks(path, "catalog", "[profile]", _PROFILE_FIELDS)
     profiles: dict[str, ManifoldProfile] = {}
     for start, fields in blocks:
         profile = _profile_from_fields(path, start, fields)
@@ -251,29 +249,17 @@ def read_family_file(
 
     Each member needs exact fields genus / euler_number / class; the class
     bit string must have length equal to the ambient profile's b2_f2 (empty
-    when that is zero). Returns the resolved ambient profile and the family.
+    when that is zero). Returns the ambient profile, used as resolved since
+    catalogs and profile files are validated when loaded, and the family.
     """
-    head, blocks = _split_blocks(path, "[surface]", _SURFACE_FIELDS)
-    ambient: ManifoldProfile | None = None
-    ambient_line = 0
-    for number, line in head:
-        key, value = _split_field(path, number, line)
-        if key != "ambient":
-            raise ParseError(
-                path, number, f"expected 'ambient' before surfaces, got {key!r}"
-            )
-        if ambient is not None:
-            raise ParseError(path, number, "duplicate field 'ambient'")
-        if not value:
-            raise ParseError(path, number, "field 'ambient' is empty")
-        try:
-            ambient = resolve_profile(value, catalog)
-        except CatalogError as exc:
-            raise ParseError(path, number, str(exc)) from None
-        validate_profile(ambient)
-        ambient_line = number
-    if ambient is None:
-        raise ParseError(path, 0, "missing field 'ambient'")
+    head, blocks = _split_blocks(path, "family", "[surface]", _SURFACE_FIELDS)
+    ambient_line, ref = _require(path, 0, head, "ambient", "family")
+    if not ref:
+        raise ParseError(path, ambient_line, "field 'ambient' is empty")
+    try:
+        ambient = resolve_profile(ref, catalog)
+    except CatalogError as exc:
+        raise ParseError(path, ambient_line, str(exc)) from None
     if not blocks:
         raise ParseError(path, ambient_line, "family has no [surface] blocks")
 
@@ -284,21 +270,19 @@ def read_family_file(
             raise ParseError(path, num, f"field 'genus' must be >= 1, got {genus}")
         _, euler = _int_field(path, start, fields, "euler_number", "surface")
         num, raw = _require(path, start, fields, "class", "surface")
-        if raw.strip("01"):
-            raise ParseError(path, num, f"field 'class' is not a bit string: {raw!r}")
-        if len(raw) != ambient.b2_f2:
+        try:
+            mod2_class = Gf2Vector.from_string(raw)
+        except ValueError:
+            raise ParseError(
+                path, num, f"field 'class' is not a bit string: {raw!r}"
+            ) from None
+        if mod2_class.dim != ambient.b2_f2:
             raise ParseError(
                 path,
                 num,
-                f"field 'class' has length {len(raw)}, ambient "
+                f"field 'class' has length {mod2_class.dim}, ambient "
                 f"{ambient.name!r} needs {ambient.b2_f2}",
             )
-        members.append(
-            SurfaceDatum(
-                genus=genus,
-                euler_number=euler,
-                mod2_class=Gf2Vector.from_string(raw),
-            )
-        )
+        members.append(SurfaceDatum(genus=genus, euler_number=euler, mod2_class=mod2_class))
     family = SurfaceFamily(ambient_dim=ambient.b2_f2, members=tuple(members))
     return ambient, family

@@ -138,23 +138,24 @@ def sign_class(family: SurfaceFamily) -> SignClass:
     return SignClass.MIXED
 
 
-def massey_admissible_set(genus: int) -> list[int]:
-    """Euler numbers attainable by a genus-g surface in the 4-sphere.
+def _admissible_range(genus: int) -> range:
+    """Euler numbers attainable by a genus-g surface in the 4-sphere, as a range.
 
     The set {-2g, -2g+4, ..., 2g}: g+1 values, symmetric about zero, all
     congruent to 2g mod 4 and bounded by 2g in absolute value.
     """
     _require_genus(genus)
-    return list(range(-2 * genus, 2 * genus + 1, 4))
+    return range(-2 * genus, 2 * genus + 1, 4)
+
+
+def massey_admissible_set(genus: int) -> list[int]:
+    """The admissible Euler numbers for this genus, as a list."""
+    return list(_admissible_range(genus))
 
 
 def massey_check(genus: int, euler_number: int) -> bool:
-    """True iff the Euler number lies in the admissible set for this genus."""
-    _require_genus(genus)
-    return (
-        abs(euler_number) <= 2 * genus
-        and (euler_number - 2 * genus) % 4 == 0
-    )
+    """True iff the Euler number lies in the admissible set; O(1) for an int."""
+    return euler_number in _admissible_range(genus)
 
 
 def bundle_to_surface(

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -40,6 +43,38 @@ def test_massey_invalid_genus(capsys):
     code, _, err = invoke(capsys, "massey", "--genus", "0")
     assert code == 2
     assert "genus" in err
+
+
+class _HashSink:
+    """A text stream that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_massey_streams_a_large_genus_in_bounded_memory():
+    genus = 10**6
+    expected = hashlib.sha256(
+        (" ".join(str(v) for v in range(-2 * genus, 2 * genus + 1, 4)) + "\n").encode()
+    ).hexdigest()
+    sink = _HashSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = run(["massey", "--genus", str(genus)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.digest.hexdigest() == expected
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_catalog_list_and_show(capsys):

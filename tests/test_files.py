@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from excess_kit import fileio
 from excess_kit.errors import CatalogError, NegativeB2, ParseError, SignatureExceedsRank
 from excess_kit.fileio import (
     CATALOG_ENV_VAR,
@@ -15,6 +16,7 @@ from excess_kit.fileio import (
     read_vector_file,
     resolve_profile,
 )
+from excess_kit.manifolds import validate_profile
 
 
 def write(tmp_path, name: str, text: str) -> str:
@@ -317,6 +319,41 @@ class TestFamilyFile:
         with pytest.raises(ParseError) as err:
             read_family_file(path)
         assert_decode_error(err, path, 5)
+
+    def test_empty_ambient(self, tmp_path):
+        path = write(
+            tmp_path, "f.txt", "# family\nambient:\n[surface]\ngenus: 1\neuler_number: 2\nclass:\n"
+        )
+        with pytest.raises(ParseError) as err:
+            read_family_file(path)
+        assert err.value.line == 2
+        assert str(err.value) == f"{path}:2: field 'ambient' is empty"
+
+    def test_class_not_a_bit_string(self, tmp_path):
+        path = write(
+            tmp_path, "f.txt", "ambient: s4\n[surface]\ngenus: 1\neuler_number: 2\nclass: 12\n"
+        )
+        with pytest.raises(ParseError) as err:
+            read_family_file(path)
+        assert err.value.line == 5
+        assert str(err.value) == f"{path}:5: field 'class' is not a bit string: '12'"
+
+    def test_catalog_ambient_is_not_validated_again(self, tmp_path, monkeypatch):
+        """Catalog entries are validated when the catalog loads, not per family."""
+        catalog = load_catalog(env={})
+        calls = []
+
+        def counting(profile):
+            calls.append(profile)
+            return validate_profile(profile)
+
+        monkeypatch.setattr(fileio, "validate_profile", counting)
+        path = write(
+            tmp_path, "f.txt", "ambient: s4\n[surface]\ngenus: 1\neuler_number: 2\nclass:\n"
+        )
+        ambient, _ = read_family_file(path, catalog)
+        assert ambient is catalog["s4"]
+        assert calls == []
 
 
 # Characters that str.splitlines() treats as line ends but an editor does not.

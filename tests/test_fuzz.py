@@ -5,6 +5,10 @@ profile, catalog, vectors) go to `tube`, `check`, `audit` and constructive
 `zerosum` through cli.run. Whatever the input, a run must end in exit 0, 1
 or 2 (never the internal-error code 3), print no traceback, and put at most
 one line on stderr.
+
+Edits confined to the head of family and catalog files (the lines before
+the first block header) go to `tube` and `catalog list`; there a failed run
+must print exactly one stderr line, located as `path:line:`.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 from unittest import mock
 
 from hypothesis import given, settings
@@ -68,8 +73,52 @@ def inputs(seed: bytes):
     return st.one_of(st.binary(max_size=300), near_valid(seed))
 
 
-def run_clean(argv: list[str], catalog: str | None = None) -> None:
-    """Run the CLI in-process and check the exit code and stderr shape."""
+# Keys a renamed head line may get: the family's own, block fields, near
+# misses and none at all.
+HEAD_KEYS = [b"ambient", b"name", b"genus", b"class", b"color", b"Ambient", b"", b"am bient"]
+
+# A catalog seed with a head to edit: lines that belong in a [profile] block.
+# The family seed's head is its `ambient` line.
+CATALOG_HEAD = b"# extra profiles\nname: extra\nsignature: 0\n\n" + CATALOG
+
+
+@st.composite
+def head_edits(draw, seed: bytes, header: bytes) -> bytes:
+    """The seed with one to three edits to content lines before the first header.
+
+    An edit duplicates, drops, renames the key of or removes the colon from
+    a head line, or moves it to the end of a block.
+    """
+    lines = seed.split(b"\n")
+    for _ in range(draw(st.integers(1, 3))):
+        first = lines.index(header) if header in lines else len(lines)
+        head = [i for i in range(first) if lines[i] and not lines[i].startswith(b"#")]
+        if not head:
+            break
+        i = draw(st.sampled_from(head))
+        edit = draw(st.sampled_from(("duplicate", "drop", "rename", "colon", "move")))
+        if edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "rename":
+            _, sep, value = lines[i].partition(b":")
+            lines[i] = draw(st.sampled_from(HEAD_KEYS)) + sep + value
+        elif edit == "colon":
+            lines[i] = lines[i].replace(b":", b"", 1)
+        else:
+            block_ends = [j for j in range(first + 1, len(lines)) if lines[j] == header]
+            end = draw(st.sampled_from(block_ends + [len(lines)]))
+            lines.insert(end, lines[i])
+            del lines[i]
+    return b"\n".join(lines)
+
+
+def run_clean(argv: list[str], catalog: str | None = None) -> tuple[int, str]:
+    """Run the CLI in-process, check the exit code and stderr shape.
+
+    Returns the exit code and the stderr text.
+    """
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ):
         os.environ.pop(CATALOG_ENV_VAR, None)
@@ -81,6 +130,16 @@ def run_clean(argv: list[str], catalog: str | None = None) -> None:
     assert code in (0, 1, 2), (argv, code, message)
     assert "Traceback" not in message
     assert len(message.splitlines()) <= 1, message
+    return code, message
+
+
+def assert_located(code: int, message: str, path: str) -> None:
+    """Exit 0 with nothing on stderr, or exit 2 with one `path:line:` line."""
+    assert code in (0, 2), (code, message)
+    if code == 0:
+        assert message == ""
+    else:
+        assert re.fullmatch(re.escape(path) + r":\d+: [^\n]+\n", message), message
 
 
 def write(directory, name: str, data: bytes) -> str:
@@ -133,3 +192,17 @@ def test_catalog_files(tmp_path_factory, data):
 def test_vector_files(tmp_path_factory, data):
     vectors = write(tmp_path_factory.mktemp("fuzz"), "vectors.txt", data)
     run_clean(["zerosum", "--vectors", vectors])
+
+
+@FUZZ
+@given(data=head_edits(FAMILY, b"[surface]"))
+def test_family_head_edits(tmp_path_factory, data):
+    family = write(tmp_path_factory.mktemp("fuzz"), "family.txt", data)
+    assert_located(*run_clean(["tube", "--family", family]), family)
+
+
+@FUZZ
+@given(data=head_edits(CATALOG_HEAD, b"[profile]"))
+def test_catalog_head_edits(tmp_path_factory, data):
+    catalog = write(tmp_path_factory.mktemp("fuzz"), "catalog.txt", data)
+    assert_located(*run_clean(["catalog", "list"], catalog), catalog)

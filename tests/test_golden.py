@@ -203,9 +203,26 @@ CLI_FILES = {
     ),
     "nonplane.txt": "ambient: s4\n[surface]\ngenus: 2\neuler_number: 4\nclass:\n",
     "vectors.txt": "# six vectors of length 4\n1100\n0110\n0011\n1001\n1111\n1010\n",
+    "head_duplicate.txt": (
+        "ambient: s4\nambient: s4\n[surface]\ngenus: 1\neuler_number: 2\nclass:\n"
+    ),
+    "head_unknown.txt": (
+        "ambient: s4\ncolor: red\n[surface]\ngenus: 1\neuler_number: 2\nclass:\n"
+    ),
+    "head_surface_field.txt": (
+        "ambient: s4\ngenus: 1\n[surface]\ngenus: 1\neuler_number: 2\nclass:\n"
+    ),
+    "head_missing.txt": "# no ambient\n[surface]\ngenus: 1\neuler_number: 2\nclass:\n",
+    "head_empty.txt": "ambient:\n[surface]\ngenus: 1\neuler_number: 2\nclass:\n",
+    "head_no_colon.txt": "ambient s4\n[surface]\ngenus: 1\neuler_number: 2\nclass:\n",
+    "head_catalog.txt": (
+        "# extra profiles\nname: extra\n"
+        "[profile]\nname: extra\nsignature: 0\neuler_characteristic: 4\nb1_f2: 0\n"
+    ),
 }
 
-# (case name, argv); "{dir}" as in CLI_FILES.
+# (case name, argv) or (case name, argv, extra catalog path); "{dir}" as in
+# CLI_FILES.
 CLI_CASES = (
     ("check text obstructed", "check --manifold s4 --family {dir}/obstructed.txt"),
     (
@@ -258,6 +275,13 @@ CLI_CASES = (
     ("zerosum over budget", "zerosum --vectors {dir}/vectors.txt --exact --effort 3"),
     ("massey valid", "massey --genus 3"),
     ("massey genus 0", "massey --genus 0"),
+    ("family head duplicate ambient", "tube --family {dir}/head_duplicate.txt"),
+    ("family head unknown field", "tube --family {dir}/head_unknown.txt"),
+    ("family head surface field", "tube --family {dir}/head_surface_field.txt"),
+    ("family head missing ambient", "tube --family {dir}/head_missing.txt"),
+    ("family head empty ambient", "tube --family {dir}/head_empty.txt"),
+    ("family head no colon", "tube --family {dir}/head_no_colon.txt"),
+    ("catalog head field", "catalog list", "{dir}/head_catalog.txt"),
 )
 
 CLI_DIR = "<dir>"
@@ -266,19 +290,24 @@ CLI_DIR = "<dir>"
 def render_cli() -> str:
     """Exit code, stdout and stderr of each CLI case, temporary paths masked.
 
-    The cases run without an extra catalog, whatever the environment says.
+    A case runs with the extra catalog it names, and with none otherwise,
+    whatever the environment says.
     """
     out = []
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
-        os.environ.pop(CATALOG_ENV_VAR, None)
+    with tempfile.TemporaryDirectory() as tmp:
         for filename, text in CLI_FILES.items():
             (pathlib.Path(tmp) / filename).write_text(text.format(dir=tmp), encoding="utf-8")
-        for name, command in CLI_CASES:
+        for name, command, *catalog in CLI_CASES:
+            env = {CATALOG_ENV_VAR: catalog[0].format(dir=tmp)} if catalog else {}
             stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = run(command.format(dir=tmp).split())
+            with mock.patch.dict(os.environ):
+                os.environ.pop(CATALOG_ENV_VAR, None)
+                os.environ.update(env)
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = run(command.format(dir=tmp).split())
+            prefix = "".join(f"{key}={value} " for key, value in env.items())
             body = (
-                f"$ excess-kit {command.format(dir=CLI_DIR)}\n"
+                f"$ {prefix}excess-kit {command.format(dir=CLI_DIR)}\n"
                 f"exit: {code}\n"
                 f"--- stdout\n{stdout.getvalue()}"
                 f"--- stderr\n{stderr.getvalue()}"
