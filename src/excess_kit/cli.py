@@ -18,6 +18,7 @@ from .covers import branched_double_cover, consistency_check
 from .engine import Verdict, excess_check, plane_family_audit
 from .errors import CatalogError, ExcessKitError
 from .fileio import (
+    _TooManyDigits,
     load_catalog,
     parse_decimal,
     read_family_file,
@@ -40,6 +41,8 @@ _VERDICT_EXIT = {
 def _int_arg(text: str) -> int:
     try:
         return parse_decimal(text)
+    except _TooManyDigits as exc:
+        raise argparse.ArgumentTypeError(f"has {exc}") from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
@@ -221,9 +224,10 @@ def _cmd_zerosum(args: argparse.Namespace) -> int:
 
 def _cmd_massey(args: argparse.Namespace) -> int:
     values = _admissible_range(args.genus)
+    count = args.genus + 1  # len() of the range fails past sys.maxsize
     step = 4096  # values per write, so memory stays flat whatever the genus
-    for i in range(0, len(values), step):
-        end = "\n" if i + step >= len(values) else " "
+    for i in range(0, count, step):
+        end = "\n" if i + step >= count else " "
         print(" ".join(map(str, values[i : i + step])), end=end)
     return 0
 

@@ -29,6 +29,17 @@ class NotABasis(ExcessKitError):
     """The indexed vectors are linearly dependent."""
 
 
+# Python's int-to-str limit may be set as low as 640 digits; 2**2000 has 603.
+_DECIMAL_BITS = 2000
+
+
+def _count_text(n: int, prefix: str = "") -> str:
+    """prefix and n in decimal, or a power-of-two bound when n is too long for that."""
+    if n.bit_length() <= _DECIMAL_BITS:
+        return f"{prefix}{n}"
+    return f"at least 2^{n.bit_length() - 1}"
+
+
 class EffortExceeded(ExcessKitError):
     """Exact search would exceed the node budget.
 
@@ -41,7 +52,8 @@ class EffortExceeded(ExcessKitError):
         self.budget = budget
         self.certificate = certificate
         super().__init__(
-            f"exact search needs ~{needed} nodes, budget is {budget}; "
+            f"exact search needs {_count_text(needed, '~')} nodes, "
+            f"budget is {_count_text(budget)}; "
             f"constructive certificate of size {certificate.size} is attached"
         )
 

@@ -113,15 +113,26 @@ def _require(path: str, start: int, fields: _Fields, key: str, what: str) -> tup
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
+# Python refuses int/str conversion past 4300 digits. A sum of m integers of
+# at most _MAX_DIGITS digits has at most _MAX_DIGITS + log10(m) + 1 digits,
+# so no integer derived from accepted input comes near that limit on output.
+_MAX_DIGITS = 4000
+
+
+class _TooManyDigits(ValueError):
+    """A decimal integer longer than _MAX_DIGITS digits."""
+
 
 def parse_decimal(text: str) -> int:
-    """An optional sign followed by ASCII digits, as an int.
+    """An optional sign followed by at most 4000 ASCII digits, as an int.
 
     Raises ValueError for anything else, including the non-ASCII digits,
     underscores and surrounding whitespace that int() would accept.
     """
     if not _DECIMAL.fullmatch(text):
         raise ValueError(f"not a decimal integer: {text!r}")
+    if len(text.lstrip("+-")) > _MAX_DIGITS:
+        raise _TooManyDigits(f"more than {_MAX_DIGITS} digits")
     return int(text)
 
 
@@ -132,6 +143,8 @@ def _int_field(
     num, raw = _require(path, start, fields, key, what)
     try:
         return num, parse_decimal(raw)
+    except _TooManyDigits as exc:
+        raise ParseError(path, num, f"field {key!r} has {exc}") from None
     except ValueError:
         raise ParseError(path, num, f"field {key!r} needs an integer, got {raw!r}") from None
 
@@ -141,15 +154,17 @@ def read_vector_file(path: str) -> Gf2Collection:
     vectors: list[Gf2Vector] = []
     dim: int | None = None
     for number, line in _read_lines(path):
-        if line.strip("01"):
-            raise ParseError(path, number, f"not a bit string: {line!r}")
+        try:
+            vector = Gf2Vector.from_string(line)
+        except ValueError as exc:
+            raise ParseError(path, number, str(exc)) from None
         if dim is None:
-            dim = len(line)
-        elif len(line) != dim:
+            dim = vector.dim
+        elif vector.dim != dim:
             raise ParseError(
-                path, number, f"vector length {len(line)} differs from first length {dim}"
+                path, number, f"vector length {vector.dim} differs from first length {dim}"
             )
-        vectors.append(Gf2Vector.from_string(line))
+        vectors.append(vector)
     return Gf2Collection(dim=dim or 0, vectors=tuple(vectors))
 
 

@@ -4,6 +4,11 @@ Every machine-readable document is a tree of dicts, lists, strings,
 integers, booleans, and nulls — floating point never appears. Canonical
 serialization (sorted keys, fixed separators) makes equal documents
 byte-identical, which the determinism checks rely on.
+
+A document's keys are its result type's fields, taken with vars(); only
+the values JSON cannot take as they are (enums, tuples, nested reports,
+bit vectors) are rewritten. The budget and certificate documents are
+written out key by key, as they rename, join or add fields.
 """
 
 from __future__ import annotations
@@ -45,50 +50,28 @@ def canonical_json(document: Any) -> str:
 
 
 def _trace_document(trace: ProofTrace) -> list[dict[str, Any]]:
-    return [
-        {
-            "label": s.label,
-            "lhs": s.lhs,
-            "rel": s.rel,
-            "rhs": s.rhs,
-            "anchor": s.anchor,
-        }
-        for s in trace
-    ]
+    return [vars(step).copy() for step in trace]
 
 
 def report_document(report: ObstructionReport) -> dict[str, Any]:
-    """Machine-readable form of an excess-check report."""
-    return {
+    """Machine-readable form of an excess-check report: its fields, JSON-ready."""
+    return vars(report) | {
         "verdict": report.verdict.value,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
         "trace": _trace_document(report.trace),
         "assumptions": list(report.assumptions),
-        "failed_hypothesis": report.failed_hypothesis,
         "notes": list(report.notes),
     }
 
 
 def audit_document(audit: PlaneAuditReport) -> dict[str, Any]:
-    """Machine-readable form of a plane-family audit."""
-    return {
+    """Machine-readable form of a plane-family audit: its fields, JSON-ready."""
+    zero_sum, subfamily = audit.zero_sum_indices, audit.subfamily_report
+    return vars(audit) | {
         "verdict": audit.verdict.value,
-        "member_count": audit.member_count,
-        "b2_f2": audit.b2_f2,
-        "d_of_m": audit.d_of_m,
-        "b_of_m": audit.b_of_m,
         "majority_sign": audit.majority_sign.value,
         "majority_indices": list(audit.majority_indices),
-        "zero_sum_indices": (
-            None if audit.zero_sum_indices is None else list(audit.zero_sum_indices)
-        ),
-        "exact_used": audit.exact_used,
-        "subfamily_report": (
-            None
-            if audit.subfamily_report is None
-            else report_document(audit.subfamily_report)
-        ),
+        "zero_sum_indices": None if zero_sum is None else list(zero_sum),
+        "subfamily_report": None if subfamily is None else report_document(subfamily),
         "trace": _trace_document(audit.trace),
         "assumptions": list(audit.assumptions),
         "notes": list(audit.notes),
@@ -110,24 +93,14 @@ def budget_document(profile: ManifoldProfile, budget: BudgetReport) -> dict[str,
 def cover_document(
     cover: CoverProfile, consistency: ConsistencyResult
 ) -> dict[str, Any]:
-    return {
-        "sigma_n": cover.sigma_n,
-        "chi_n": cover.chi_n,
-        "b1_f2_upper": cover.b1_f2_upper,
-        "b2_f2_upper": cover.b2_f2_upper,
-        "ramification_euler": cover.ramification_euler,
+    return vars(cover) | {
         "consistency_ok": consistency.ok,
         "consistency_witness": consistency.witness,
     }
 
 
 def tube_document(tubed: TubedSurface) -> dict[str, Any]:
-    return {
-        "genus": tubed.genus,
-        "euler_number": tubed.euler_number,
-        "euler_characteristic": tubed.euler_characteristic,
-        "mod2_class": tubed.mod2_class.to01(),
-    }
+    return vars(tubed) | {"mod2_class": tubed.mod2_class.to01()}
 
 
 def certificate_document(cert: SubsetCertificate) -> dict[str, Any]:
