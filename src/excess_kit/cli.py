@@ -16,7 +16,7 @@ from typing import Any, Callable
 from . import reports
 from .covers import branched_double_cover, consistency_check
 from .engine import Verdict, excess_check, plane_family_audit
-from .errors import CatalogError, ExcessKitError
+from .errors import CatalogError, ExcessKitError, _quote
 from .fileio import (
     _TooManyDigits,
     load_catalog,
@@ -44,7 +44,7 @@ def _int_arg(text: str) -> int:
     except _TooManyDigits as exc:
         raise argparse.ArgumentTypeError(f"has {exc}") from None
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
 
 
 def _effort_arg(text: str) -> int:
@@ -139,7 +139,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         return 0
     profile = catalog.get(args.name)
     if profile is None:
-        raise CatalogError(f"unknown catalog profile {args.name!r}")
+        raise CatalogError(f"unknown catalog profile {_quote(args.name)}")
     return _print_budget(profile)
 
 

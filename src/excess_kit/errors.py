@@ -29,6 +29,17 @@ class NotABasis(ExcessKitError):
     """The indexed vectors are linearly dependent."""
 
 
+# The longest input value a message quotes whole.
+_QUOTE_CHARS = 64
+
+
+def _quote(text: str) -> str:
+    """repr(text), or past 64 characters the repr of its first 64 and its length."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
+
+
 # Python's int-to-str limit may be set as low as 640 digits; 2**2000 has 603.
 _DECIMAL_BITS = 2000
 

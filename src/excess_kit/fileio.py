@@ -12,7 +12,7 @@ import os
 import re
 from importlib import resources
 
-from .errors import CatalogError, NegativeB2, ParseError, SignatureExceedsRank
+from .errors import CatalogError, NegativeB2, ParseError, SignatureExceedsRank, _quote
 from .gf2 import Gf2Collection, Gf2Vector
 from .manifolds import ManifoldProfile, validate_profile
 from .surfaces import SurfaceDatum, SurfaceFamily
@@ -68,10 +68,10 @@ def _add_field(
 ) -> None:
     key, sep, value = line.partition(":")
     if not sep:
-        raise ParseError(path, number, f"expected 'field: value', got {line!r}")
+        raise ParseError(path, number, f"expected 'field: value', got {_quote(line)}")
     key = key.strip()
     if key not in allowed:
-        raise ParseError(path, number, f"unknown {what} field {key!r}")
+        raise ParseError(path, number, f"unknown {what} field {_quote(key)}")
     if key in fields:
         raise ParseError(path, number, f"duplicate field {key!r}")
     fields[key] = (number, value.strip())
@@ -97,7 +97,7 @@ def _split_blocks(
             fields, keys, what = {}, allowed, header.strip("[]")
             blocks.append((number, fields))
         elif line.startswith("["):
-            raise ParseError(path, number, f"unknown section {line!r}")
+            raise ParseError(path, number, f"unknown section {_quote(line)}")
         elif keys:
             _add_field(path, number, line, fields, keys, what)
     if not _HEAD_FIELDS[kind] and lines and lines[0][1] != header:
@@ -130,7 +130,7 @@ def parse_decimal(text: str) -> int:
     underscores and surrounding whitespace that int() would accept.
     """
     if not _DECIMAL.fullmatch(text):
-        raise ValueError(f"not a decimal integer: {text!r}")
+        raise ValueError(f"not a decimal integer: {_quote(text)}")
     if len(text.lstrip("+-")) > _MAX_DIGITS:
         raise _TooManyDigits(f"more than {_MAX_DIGITS} digits")
     return int(text)
@@ -146,7 +146,9 @@ def _int_field(
     except _TooManyDigits as exc:
         raise ParseError(path, num, f"field {key!r} has {exc}") from None
     except ValueError:
-        raise ParseError(path, num, f"field {key!r} needs an integer, got {raw!r}") from None
+        raise ParseError(
+            path, num, f"field {key!r} needs an integer, got {_quote(raw)}"
+        ) from None
 
 
 def read_vector_file(path: str) -> Gf2Collection:
@@ -207,7 +209,9 @@ def read_catalog_file(path: str) -> dict[str, ManifoldProfile]:
     for start, fields in blocks:
         profile = _profile_from_fields(path, start, fields)
         if profile.name in profiles:
-            raise ParseError(path, start, f"duplicate profile name {profile.name!r}")
+            raise ParseError(
+                path, start, f"duplicate profile name {_quote(profile.name)}"
+            )
         profiles[profile.name] = profile
     return profiles
 
@@ -253,7 +257,7 @@ def resolve_profile(
     if os.path.isfile(ref):
         return read_profile_file(ref)
     raise CatalogError(
-        f"profile reference {ref!r} is neither a catalog name nor an existing file"
+        f"profile reference {_quote(ref)} is neither a catalog name nor an existing file"
     )
 
 
@@ -289,7 +293,7 @@ def read_family_file(
             mod2_class = Gf2Vector.from_string(raw)
         except ValueError:
             raise ParseError(
-                path, num, f"field 'class' is not a bit string: {raw!r}"
+                path, num, f"field 'class' is not a bit string: {_quote(raw)}"
             ) from None
         if mod2_class.dim != ambient.b2_f2:
             raise ParseError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EffortExceeded, NotABasis, NotInSpan
+from .errors import EffortExceeded, NotABasis, NotInSpan, _quote
 
 __all__ = [
     "Gf2Vector",
@@ -66,7 +66,7 @@ class Gf2Vector:
     def from_string(cls, text: str) -> Gf2Vector:
         """Parse a '0'/'1' string; the first character is coordinate 0."""
         if text.strip("01"):
-            raise ValueError(f"not a bit string: {text!r}")
+            raise ValueError(f"not a bit string: {_quote(text)}")
         return cls(len(text), int(text[::-1], 2) if text else 0)
 
     def to01(self) -> str:
@@ -146,38 +146,26 @@ class SubsetCertificate:
 class _Eliminator:
     """Incremental GF(2) row reduction.
 
-    Each stored pivot row carries the combination of inserted originals it
-    equals, so membership queries can be answered in terms of the originals.
+    Each stored pivot row carries the combination of kept vectors it equals,
+    bit k standing for the k-th vector kept, so a dependent vector can be
+    expressed in the kept ones.
     """
 
     def __init__(self):
         self._rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (mask, combo)
-        self._count = 0
 
-    def _reduce(self, mask: int) -> tuple[int, int]:
+    def insert(self, mask: int) -> int | None:
+        """Return mask's combination of kept vectors, or keep it and return None."""
         combo = 0
         while mask:
             pivot = mask.bit_length() - 1
             row = self._rows.get(pivot)
             if row is None:
-                return mask, combo
+                self._rows[pivot] = (mask, combo | (1 << len(self._rows)))
+                return None
             mask ^= row[0]
             combo ^= row[1]
-        return 0, combo
-
-    def insert(self, mask: int) -> bool:
-        """Insert a vector; return True when it enlarges the span."""
-        reduced, combo = self._reduce(mask)
-        if reduced == 0:
-            return False
-        self._rows[reduced.bit_length() - 1] = (reduced, combo | (1 << self._count))
-        self._count += 1
-        return True
-
-    def express(self, mask: int) -> int | None:
-        """Combination of inserted originals equal to mask, or None."""
-        reduced, combo = self._reduce(mask)
-        return combo if reduced == 0 else None
+        return combo
 
 
 def rank(collection: Gf2Collection) -> int:
@@ -192,9 +180,8 @@ def greedy_basis(collection: Gf2Collection) -> tuple[int, ...]:
     vectors already kept.
     """
     elim = _Eliminator()
-    return tuple(
-        i for i, v in enumerate(collection.vectors, start=1) if elim.insert(v.bits)
-    )
+    vectors = enumerate(collection.vectors, start=1)
+    return tuple(i for i, v in vectors if elim.insert(v.bits) is None)
 
 
 def coordinates(
@@ -209,9 +196,9 @@ def coordinates(
         raise ValueError("target dimension differs from collection dimension")
     elim = _Eliminator()
     for idx in basis:
-        if not elim.insert(collection.vector(idx).bits):
+        if elim.insert(collection.vector(idx).bits) is not None:
             raise NotABasis(f"vectors at indices {tuple(basis)} are dependent")
-    combo = elim.express(target.bits)
+    combo = elim.insert(target.bits)
     if combo is None:
         raise NotInSpan(f"vector {target} is outside the span of {tuple(basis)}")
     return frozenset(basis[i] for i in range(len(basis)) if (combo >> i) & 1)
@@ -220,30 +207,30 @@ def coordinates(
 def zero_sum_subcollection(collection: Gf2Collection) -> SubsetCertificate:
     """Constructive zero-sum subset of size >= length - rank.
 
-    Takes the complement J of the greedy basis, expresses the XOR over J in
-    that basis as a subset I, and returns I ∪ J. The certificate is empty
-    exactly when only the empty subset sums to zero this way.
+    One left-to-right pass keeps the greedy basis and sums the basis
+    combinations of the other vectors J: the XOR over J is the XOR over a
+    basis subset I, and I ∪ J is returned. The certificate is empty exactly
+    when only the empty subset sums to zero this way.
     """
-    basis = greedy_basis(collection)
-    basis_set = set(basis)
-    rest = [i for i in range(1, len(collection) + 1) if i not in basis_set]
-    acc = 0
-    for i in rest:
-        acc ^= collection.vector(i).bits
-    inside = coordinates(collection, basis, Gf2Vector(collection.dim, acc))
-    cert = SubsetCertificate(inside | frozenset(rest))
+    elim = _Eliminator()
+    basis: list[int] = []
+    rest: list[int] = []
+    total = 0
+    for i, v in enumerate(collection.vectors, start=1):
+        combo = elim.insert(v.bits)
+        if combo is None:
+            basis.append(i)
+        else:
+            rest.append(i)
+            total ^= combo
+    inside = [b for k, b in enumerate(basis) if (total >> k) & 1]
+    cert = SubsetCertificate(frozenset(inside + rest))
     acc = 0
     for i in cert.indices:
         acc ^= collection.vector(i).bits
     if acc != 0:
         raise AssertionError("certificate does not XOR to zero")
     return cert
-
-
-def _subset_lex_less(a: int, b: int) -> bool:
-    """True when index set a precedes b lexicographically (equal sizes)."""
-    d = a ^ b
-    return bool(a & (d & -d))
 
 
 def _xor_table(masks: Sequence[int]) -> list[int]:
@@ -256,44 +243,38 @@ def _xor_table(masks: Sequence[int]) -> list[int]:
 
 
 def _solve_mitm(masks: list[int]) -> int:
-    """Best zero-sum subset mask by (max size, lex-least index set).
+    """Numerically least mask among the minimum-size complements.
 
-    Meet-in-the-middle on the complement, which must XOR to the whole
-    collection's XOR; the halves are the first and second index blocks.
-    Among minimum complements the lexicographically largest one is kept,
-    which yields the lexicographically least maximum subset.
+    A complement of a zero-sum subset XORs to the whole collection's XOR;
+    meet-in-the-middle splits it into its bits below m // 2 and the rest.
+    Both XOR tables are scanned in increasing mask order and a candidate
+    replaces the kept one only when it is strictly smaller in size, so the
+    first mask found of each size is also the numerically least.
     """
     m = len(masks)
     total_xor = 0
     for v in masks:
         total_xor ^= v
     split = m // 2
-    # Per XOR value: (min cardinality, lex-largest index set at that size).
-    best_a: dict[int, tuple[int, int]] = {}
-    for submask, x in enumerate(_xor_table(masks[:split])):
-        card = submask.bit_count()
-        cur = best_a.get(x)
-        if cur is None or card < cur[0] or (
-            card == cur[0] and _subset_lex_less(cur[1], submask)
-        ):
-            best_a[x] = (card, submask)
+    best_low: dict[int, int] = {}
+    for low, x in enumerate(_xor_table(masks[:split])):
+        cur = best_low.get(x)
+        if cur is None or low.bit_count() < cur.bit_count():
+            best_low[x] = low
 
     # Taking every index as the complement always matches, so some
     # complement is found.
     best_card = m + 1
     best_comp = 0
-    for submask, x in enumerate(_xor_table(masks[split:])):
-        hit = best_a.get(total_xor ^ x)
-        if hit is None:
+    for high, x in enumerate(_xor_table(masks[split:])):
+        low = best_low.get(total_xor ^ x)
+        if low is None:
             continue
-        card = hit[0] + submask.bit_count()
-        if card > best_card:
-            continue
-        comp = hit[1] | (submask << split)
-        if card < best_card or _subset_lex_less(best_comp, comp):
+        card = low.bit_count() + high.bit_count()
+        if card < best_card:
             best_card = card
-            best_comp = comp
-    return ((1 << m) - 1) ^ best_comp
+            best_comp = low | (high << split)
+    return best_comp
 
 
 def max_zero_sum_subset(
@@ -304,7 +285,9 @@ def max_zero_sum_subset(
     Equivalently minimizes the complement, a minimum-weight coset leader
     problem for the XOR of the whole collection, solved by meet-in-the-middle
     over 2^floor(m/2) + 2^ceil(m/2) nodes. Ties are broken toward the
-    lexicographically smallest index set. Raises EffortExceeded (with the
+    lexicographically smallest index set: with the vectors passed in reverse
+    index order, bit j standing for index m - j, that is the complement with
+    the numerically least mask. Raises EffortExceeded (with the
     constructive certificate attached) when the node budget cannot cover an
     exact answer; effort_limit=0 selects the default budget. ``workers`` is
     accepted for compatibility and has no effect.
@@ -316,7 +299,7 @@ def max_zero_sum_subset(
     needed = (1 << (m // 2)) + (1 << (m - m // 2))
     if needed > budget:
         raise EffortExceeded(needed, budget, zero_sum_subcollection(collection))
-    best = _solve_mitm([v.bits for v in collection.vectors])
+    comp = _solve_mitm([v.bits for v in reversed(collection.vectors)])
     return SubsetCertificate(
-        frozenset(i + 1 for i in range(m) if (best >> i) & 1)
+        frozenset(m - j for j in range(m) if not (comp >> j) & 1)
     )
