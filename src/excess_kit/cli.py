@@ -16,7 +16,7 @@ from typing import Any, Callable
 from . import reports
 from .covers import branched_double_cover, consistency_check
 from .engine import Verdict, excess_check, plane_family_audit
-from .errors import CatalogError, ExcessKitError, _quote
+from .errors import CatalogError, ExcessKitError, _bare, _quote
 from .fileio import (
     _TooManyDigits,
     load_catalog,
@@ -54,8 +54,28 @@ def _effort_arg(text: str) -> int:
     return effort
 
 
+class _Parser(argparse.ArgumentParser):
+    """Cuts a rejected choice or extra argument as errors._quote and _bare do.
+
+    Subparsers inherit the class through add_subparsers' parser_class.
+    """
+
+    def _check_value(self, action: argparse.Action, value: str) -> None:
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            message = exc.message.replace(repr(value), _quote(value), 1)
+            raise argparse.ArgumentError(action, message) from None
+
+    def parse_args(self, args: Any = None, namespace: Any = None) -> Any:
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(map(_bare, extras)))
+        return parsed
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="excess-kit",
         description=(
             "Exact integer obstruction checks for families of disjoint"
@@ -160,8 +180,8 @@ def _load_family_for(ref: str, path: str) -> tuple[ManifoldProfile, SurfaceFamil
     named = (profile.signature, profile.euler_characteristic, profile.b1_f2)
     if declared != named:
         raise ExcessKitError(
-            f"family file declares ambient {ambient.name!r} with invariants {declared}, "
-            f"but the command names {profile.name!r} with {named}"
+            f"family file declares ambient {_quote(ambient.name)} with invariants "
+            f"{declared}, but the command names {_quote(profile.name)} with {named}"
         )
     return profile, family
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotModTwoNull, OddEulerNumber
+from .errors import DimensionMismatch, NotModTwoNull, OddEulerNumber, _bare
 from .manifolds import ManifoldProfile, validate_profile
 from .surfaces import TubedSurface
 
@@ -76,7 +76,7 @@ def branched_double_cover(
     if f.mod2_class.dim != m.b2_f2:
         raise DimensionMismatch(
             f"branch surface class has dimension {f.mod2_class.dim}, "
-            f"profile {m.name} has b2_f2 = {m.b2_f2}"
+            f"profile {_bare(m.name)} has b2_f2 = {m.b2_f2}"
         )
     if not f.mod2_class.is_zero:
         raise NotModTwoNull(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .covers import cover_chain, signature_defect
-from .errors import DimensionMismatch, EulerTooSmall, NotAPlaneFamily
+from .errors import DimensionMismatch, EulerTooSmall, NotAPlaneFamily, _bare
 from .gf2 import (
     Gf2Collection,
     Gf2Vector,
@@ -204,7 +204,7 @@ def _require_matching_dim(m: ManifoldProfile, family: SurfaceFamily) -> None:
     if family.ambient_dim != m.b2_f2:
         raise DimensionMismatch(
             f"family classes live in dimension {family.ambient_dim}, "
-            f"profile {m.name} has b2_f2 = {m.b2_f2}"
+            f"profile {_bare(m.name)} has b2_f2 = {m.b2_f2}"
         )
 
 

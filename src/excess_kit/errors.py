@@ -40,6 +40,11 @@ def _quote(text: str) -> str:
     return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
+def _bare(text: str) -> str:
+    """text itself, or past 64 characters as _quote cuts it: for names shown unquoted."""
+    return text if len(text) <= _QUOTE_CHARS else _quote(text)
+
+
 # Python's int-to-str limit may be set as low as 640 digits; 2**2000 has 603.
 _DECIMAL_BITS = 2000
 

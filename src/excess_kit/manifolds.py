@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NegativeB2, SignatureExceedsRank
+from .errors import NegativeB2, SignatureExceedsRank, _bare
 
 __all__ = [
     "ManifoldProfile",
@@ -57,15 +57,16 @@ def validate_profile(profile: ManifoldProfile) -> ManifoldProfile:
     profile unchanged when both hold.
     """
     if profile.b1_f2 < 0:
-        raise ValueError(f"{profile.name}: b1_f2 is negative ({profile.b1_f2})")
+        raise ValueError(f"{_bare(profile.name)}: b1_f2 is negative ({profile.b1_f2})")
     b2 = profile.b2_f2
     if b2 < 0:
         raise NegativeB2(
-            f"{profile.name}: b2_f2 = chi - 2 + 2*b1 = {b2} is negative"
+            f"{_bare(profile.name)}: b2_f2 = chi - 2 + 2*b1 = {b2} is negative"
         )
     if abs(profile.signature) > b2:
         raise SignatureExceedsRank(
-            f"{profile.name}: |signature| = {abs(profile.signature)} exceeds b2_f2 = {b2}"
+            f"{_bare(profile.name)}: |signature| = {abs(profile.signature)} "
+            f"exceeds b2_f2 = {b2}"
         )
     return profile
 

@@ -18,8 +18,13 @@ from unittest import mock
 
 import pytest
 
-from excess_kit import cli
+from excess_kit import cli, fileio
+from excess_kit.engine import excess_check
+from excess_kit.errors import CatalogError, DimensionMismatch
 from excess_kit.fileio import CATALOG_ENV_VAR, parse_decimal
+from excess_kit.gf2 import Gf2Vector
+from excess_kit.manifolds import ManifoldProfile
+from excess_kit.surfaces import SurfaceDatum, SurfaceFamily
 
 LONG = 300_000
 MAX_STDERR = 400
@@ -144,3 +149,101 @@ def test_quote_keeps_short_values_whole():
     assert _quote("x" * 64) == repr("x" * 64)
     assert _quote("'\n") == repr("'\n")
     assert _quote("y" * 65) == repr("y" * 64) + "... (65 characters)"
+
+
+# argv whose rejected value argparse itself echoes; its wording is not pinned.
+ARGPARSE_SITES = {
+    "--format choice": ("check", "--manifold", "s4", "--family", "f", "--format", "j" * LONG),
+    "command name": ("c" * LONG,),
+    "catalog command": ("catalog", "c" * LONG),
+    "extra argument": ("massey", "--genus", "1", "x" * LONG),
+}
+
+
+@pytest.mark.parametrize("site", sorted(ARGPARSE_SITES))
+def test_argparse_value_is_quoted_briefly(site):
+    code, out, err = invoke(*ARGPARSE_SITES[site])
+    assert code == 2
+    assert out == ""
+    assert len(CUT.findall(err)) == 1
+    assert len(err.encode("utf-8")) < 600
+
+
+def test_argparse_short_values_keep_their_bytes():
+    code, _, err = invoke("check", "--manifold", "s4", "--family", "f", "--format", "j" * 64)
+    assert code == 2
+    assert repr("j" * 64) + " " in err
+    code, _, err = invoke("massey", "--genus", "1", "x" * 64)
+    assert code == 2
+    assert err.endswith(": " + "x" * 64 + "\n")
+
+
+def profile_text(name: str, signature: int, chi: int) -> str:
+    return f"name: {name}\nsignature: {signature}\neuler_characteristic: {chi}\nb1_f2: 0\n"
+
+
+NAME = "n" * LONG
+
+# (profile fields of a profile file named NAME, family text with {profile} for
+# its path or None, argv with {profile} and {family})
+NAME_SITES = {
+    "family ambient differs from --manifold": (
+        (0, 4),
+        "ambient: {profile}\n[surface]\ngenus: 1\neuler_number: 4\nclass: 00\n",
+        ("check", "--manifold", "s4", "--family", "{family}"),
+    ),
+    "class length differs from ambient b2": (
+        (0, 4),
+        "ambient: {profile}\n" + SURFACE,
+        ("tube", "--family", "{family}"),
+    ),
+    "negative b2": ((0, 0), None, ("bound", "--manifold", "{profile}")),
+    "signature exceeds b2": ((1, 2), None, ("bound", "--manifold", "{profile}")),
+    "cover class dimension": (
+        (0, 2),
+        None,
+        ("cover", "--manifold", "{profile}", "--genus", "1", "--euler", "2", "--class", "1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NAME_SITES))
+def test_profile_name_is_cut(tmp_path, site):
+    (signature, chi), family_text, argv = NAME_SITES[site]
+    profile = tmp_path / "profile.txt"
+    profile.write_text(profile_text(NAME, signature, chi), encoding="utf-8")
+    family = tmp_path / "family.txt"
+    if family_text is not None:
+        family.write_text(family_text.format(profile=profile), encoding="utf-8")
+    code, out, err = invoke(*(a.format(profile=profile, family=family) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert len(CUT.findall(err)) == 1
+    assert len(err.encode("utf-8")) < MAX_STDERR
+
+
+def test_engine_dimension_message_cuts_the_name():
+    profile = ManifoldProfile(NAME, signature=0, euler_characteristic=2, b1_f2=0)
+    family = SurfaceFamily(1, (SurfaceDatum(1, 2, Gf2Vector.zero(1)),))
+    with pytest.raises(DimensionMismatch) as exc_info:
+        excess_check(profile, family)
+    assert CUT.search(str(exc_info.value))
+    assert len(str(exc_info.value)) < MAX_STDERR
+
+
+def test_catalog_collision_message_cuts_the_name(tmp_path, monkeypatch):
+    path = tmp_path / "extra.txt"
+    path.write_text("[profile]\n" + profile_text(NAME, 0, 2), encoding="utf-8")
+    monkeypatch.setattr(fileio, "builtin_catalog", lambda: fileio.read_catalog_file(str(path)))
+    with pytest.raises(CatalogError) as exc_info:
+        fileio.load_catalog(env={CATALOG_ENV_VAR: str(path)})
+    assert CUT.search(str(exc_info.value))
+    assert len(str(exc_info.value)) < MAX_STDERR
+
+
+def test_short_bare_name_stays_bare():
+    from excess_kit.errors import _bare
+
+    assert _bare("x" * 64) == "x" * 64
+    assert _bare("y" * 65) == repr("y" * 64) + "... (65 characters)"
