@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from . import reports
 from .covers import branched_double_cover, consistency_check
 from .engine import Verdict, excess_check, plane_family_audit
-from .errors import CatalogError, ExcessKitError, _bare, _quote
+from .errors import _QUOTE_CHARS, CatalogError, ExcessKitError, _quote
 from .fileio import (
     _TooManyDigits,
     load_catalog,
@@ -44,7 +44,7 @@ def _int_arg(text: str) -> int:
     except _TooManyDigits as exc:
         raise argparse.ArgumentTypeError(f"has {exc}") from None
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _effort_arg(text: str) -> int:
@@ -54,24 +54,15 @@ def _effort_arg(text: str) -> int:
     return effort
 
 
+class _UsageError(Exception):
+    """A usage error: argparse's usage text and error line, for run to print."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Cuts a rejected choice or extra argument as errors._quote and _bare do.
+    """Raises usage errors for run to print; subparsers inherit it as parser_class."""
 
-    Subparsers inherit the class through add_subparsers' parser_class.
-    """
-
-    def _check_value(self, action: argparse.Action, value: str) -> None:
-        try:
-            super()._check_value(action, value)
-        except argparse.ArgumentError as exc:
-            message = exc.message.replace(repr(value), _quote(value), 1)
-            raise argparse.ArgumentError(action, message) from None
-
-    def parse_args(self, args: Any = None, namespace: Any = None) -> Any:
-        parsed, extras = self.parse_known_args(args, namespace)
-        if extras:
-            self.error("unrecognized arguments: " + " ".join(map(_bare, extras)))
-        return parsed
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +215,10 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     if args.class_bits is None:
         mod2_class = Gf2Vector.zero(profile.b2_f2)
     else:
-        mod2_class = Gf2Vector.from_string(args.class_bits)
+        try:
+            mod2_class = Gf2Vector.from_string(args.class_bits)
+        except ValueError as exc:
+            raise ExcessKitError(str(exc)) from None
     surface = SurfaceDatum(args.genus, args.euler, mod2_class)
     tubed = tube(SurfaceFamily(mod2_class.dim, (surface,)))
     cover = branched_double_cover(profile, tubed)
@@ -252,17 +246,25 @@ def _cmd_massey(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cut_argv(message: str, argv: list[str]) -> str:
+    """message with each argument, then each part after '=', cut as errors._quote cuts it."""
+    for value in argv + [arg.partition("=")[2] for arg in argv]:
+        if len(value) > _QUOTE_CHARS:
+            message = message.replace(repr(value), _quote(value)).replace(value, _quote(value))
+    return message
+
+
 def run(argv: list[str]) -> int:
     """Parse arguments, dispatch, and map errors to exit codes."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if isinstance(code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except (ExcessKitError, OSError, ValueError) as exc:
+    except SystemExit:
+        return 0  # --help; argparse's errors raise _UsageError instead
+    except (_UsageError, OSError) as exc:
+        print(_cut_argv(str(exc), argv), file=sys.stderr)
+        return 2
+    except ExcessKitError as exc:  # uncut: a ParseError's path:line names a real file
         print(str(exc), file=sys.stderr)
         return 2
     except Exception as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import re
 
-from .errors import CatalogError, NegativeB2, ParseError, SignatureExceedsRank, _quote
+from .errors import CatalogError, NegativeB2, ParseError, SignatureExceedsRank, _bare, _quote
 from .gf2 import Gf2Collection, Gf2Vector
 from .manifolds import ManifoldProfile, validate_profile
 from .surfaces import SurfaceDatum, SurfaceFamily
@@ -232,7 +232,7 @@ def load_catalog(env: dict[str, str] | None = None) -> dict[str, ManifoldProfile
     if extra_path:
         if not os.path.isfile(extra_path):
             raise CatalogError(
-                f"{CATALOG_ENV_VAR} points to a missing file: {extra_path}"
+                f"{CATALOG_ENV_VAR} points to a missing file: {_bare(extra_path)}"
             )
         for name, profile in read_catalog_file(extra_path).items():
             if name in catalog:

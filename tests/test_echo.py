@@ -10,6 +10,7 @@ cli.run in-process.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
@@ -120,6 +121,10 @@ OPTION_SITES = {
         ("massey", "--genus", "x" * LONG),
         "excess-kit massey: error: argument --genus: invalid int value: 'xxx",
     ),
+    "--family missing path": (
+        ("tube", "--family", "p" * LONG),
+        "[Errno 36] File name too long: 'ppp",
+    ),
 }
 
 
@@ -157,6 +162,10 @@ ARGPARSE_SITES = {
     "command name": ("c" * LONG,),
     "catalog command": ("catalog", "c" * LONG),
     "extra argument": ("massey", "--genus", "1", "x" * LONG),
+    "ambiguous option with a value": ("check", "--f=" + "x" * LONG),
+    "--exact=value": ("audit", "--manifold", "s4", "--planes", "p", "--exact=" + "x" * LONG),
+    "--help=value": ("check", "--help=" + "x" * LONG),
+    "--format=choice": ("check", "--format=" + "j" * LONG),
 }
 
 
@@ -176,6 +185,30 @@ def test_argparse_short_values_keep_their_bytes():
     code, _, err = invoke("massey", "--genus", "1", "x" * 64)
     assert code == 2
     assert err.endswith(": " + "x" * 64 + "\n")
+
+
+# Usage errors with short values, one per kind of argparse rejection.
+SHORT_USAGE_ERRORS = (
+    (),
+    ("check", "--manifold", "s4"),
+    ("check", "--manifold", "s4", "--family", "f", "--format", "xml"),
+    ("nope",),
+    ("massey", "--genus", "1", "x"),
+    ("check", "--f=x"),
+    ("audit", "--exact=1"),
+    ("massey", "--genus", "x"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv", SHORT_USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "no command"
+)
+def test_usage_errors_match_stock_argparse(argv):
+    err = io.StringIO()
+    with mock.patch.object(cli._Parser, "error", argparse.ArgumentParser.error):
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc_info:
+            cli.build_parser().parse_args(list(argv))
+    assert invoke(*argv) == (exc_info.value.code, "", err.getvalue())
 
 
 def profile_text(name: str, signature: int, chi: int) -> str:
@@ -228,6 +261,14 @@ def test_engine_dimension_message_cuts_the_name():
     family = SurfaceFamily(1, (SurfaceDatum(1, 2, Gf2Vector.zero(1)),))
     with pytest.raises(DimensionMismatch) as exc_info:
         excess_check(profile, family)
+    assert CUT.search(str(exc_info.value))
+    assert len(str(exc_info.value)) < MAX_STDERR
+
+
+def test_missing_catalog_path_is_cut():
+    with pytest.raises(CatalogError) as exc_info:
+        fileio.load_catalog(env={CATALOG_ENV_VAR: "c" * 100_000})
+    assert str(exc_info.value).startswith(f"{CATALOG_ENV_VAR} points to a missing file: 'ccc")
     assert CUT.search(str(exc_info.value))
     assert len(str(exc_info.value)) < MAX_STDERR
 

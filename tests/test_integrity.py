@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import pathlib
+from unittest import mock
 
 import pytest
 
@@ -25,21 +26,21 @@ def invoke(capsys, *argv: str) -> tuple[int, str, str]:
 
 
 def test_unexpected_exception_exits_three_with_one_line(monkeypatch, tmp_path, capsys):
-    def broken(*args, **kwargs):
-        raise AssertionError("chain\narithmetic broke")
-
-    monkeypatch.setattr(cli, "excess_check", broken)
     family = tmp_path / "family.txt"
     family.write_text(
         "ambient: s4\n[surface]\ngenus: 1\neuler_number: 2\nclass:\n", encoding="utf-8"
     )
-    code, out, err = invoke(
-        capsys, "check", "--manifold", "s4", "--family", str(family)
-    )
-    assert code == 3
-    assert out == ""
-    assert err == "internal error: AssertionError: chain arithmetic broke\n"
-    assert "Traceback" not in err
+    # A ValueError from inside the package is a fault too, not an input error.
+    for error in (AssertionError, ValueError):
+        broken = mock.Mock(side_effect=error("chain\narithmetic broke"))
+        monkeypatch.setattr(cli, "excess_check", broken)
+        code, out, err = invoke(
+            capsys, "check", "--manifold", "s4", "--family", str(family)
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"internal error: {error.__name__}: chain arithmetic broke\n"
+        assert "Traceback" not in err
 
 
 def test_parse_decimal_accepts_signed_ascii_digits():
