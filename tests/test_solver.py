@@ -1,8 +1,9 @@
-"""The exact maximum zero-sum solver: both branches, budgets, determinism."""
+"""The exact maximum zero-sum solver: both strategies, budgets, memory, determinism."""
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,11 +12,17 @@ from excess_kit.gf2 import (
     EXHAUSTIVE_LIMIT,
     Gf2Collection,
     Gf2Vector,
+    _reverse_pass,
+    _scan_kernel,
+    _trace_syndromes,
     max_zero_sum_subset,
     zero_sum_subcollection,
 )
 
-from helpers import brute_best_zero_sum, random_collection, xor_of
+from helpers import brute_best_zero_sum, brute_rank, random_collection, xor_of
+
+# The bytes per syndrome DP table entry the README states.
+DP_BYTES_PER_ENTRY = 10
 
 
 def vecs(*strings: str) -> Gf2Collection:
@@ -125,3 +132,74 @@ def test_tie_break_is_lexicographic():
     c2 = vecs("11", "11", "11")
     # any two of the three indices XOR to zero; lexicographically least wins
     assert max_zero_sum_subset(c2).sorted_indices() == (1, 2)
+
+
+def ranked_collection(rng: random.Random, m: int, r: int) -> Gf2Collection:
+    """m vectors of rank r, 0 <= r <= m, in random order.
+
+    The r basis vectors have distinct top bits, and the other m - r are
+    random combinations of them, the zero vector included.
+    """
+    basis = [(1 << k) | rng.getrandbits(k) for k in range(r)]
+    bits = list(basis)
+    for _ in range(m - r):
+        acc = 0
+        for b in basis:
+            if rng.getrandbits(1):
+                acc ^= b
+        bits.append(acc)
+    rng.shuffle(bits)
+    dim = max(r, 1)
+    return Gf2Collection(dim, tuple(Gf2Vector(dim, b) for b in bits))
+
+
+@pytest.mark.parametrize("strategy", [_scan_kernel, _trace_syndromes])
+def test_each_strategy_matches_brute_force_at_every_rank(strategy):
+    rng = random.Random(1978)
+    shapes = [(m, r) for m in range(15) for r in range(m + 1)]
+    for m, r in shapes * 3:
+        c = ranked_collection(rng, m, r)
+        assert brute_rank(c) == r
+        mask = strategy(_reverse_pass(c)[0])
+        chosen = tuple(sorted(m - j for j in range(m) if (mask >> j) & 1))
+        assert (len(chosen), chosen) == brute_best_zero_sum(c)
+
+
+def test_needed_is_the_cheaper_strategy_cost():
+    # Kernel scan: 2^(m - r) nodes. Syndrome DP: one table of 2^(rank) entries
+    # per prefix of the vectors taken in reverse index order.
+    rng = random.Random(10)
+    for m, r in [(6, 3), (9, 2), (12, 9), (14, 4), (14, 7)]:
+        c = ranked_collection(rng, m, r)
+        reversed_vectors = c.vectors[::-1]
+        dp = sum(
+            1 << brute_rank(Gf2Collection(c.dim, reversed_vectors[:k]))
+            for k in range(1, m + 1)
+        )
+        with pytest.raises(EffortExceeded) as exc_info:
+            max_zero_sum_subset(c, effort_limit=1)
+        assert exc_info.value.needed == min(1 << (m - r), dp)
+
+
+def test_full_rank_solve_fits_a_budget_of_one():
+    rng = random.Random(64)
+    c = ranked_collection(rng, 64, 64)
+    assert max_zero_sum_subset(c, effort_limit=1).size == 0
+
+
+@pytest.mark.parametrize("m, r", [(24, 8), (60, 10), (30, 12)])
+def test_dp_peak_memory_is_bounded_by_the_cost(m, r):
+    # 2^(m - r) kernel nodes cost more than the DP here, so the DP runs.
+    c = ranked_collection(random.Random(m * r), m, r)
+    with pytest.raises(EffortExceeded) as exc_info:
+        max_zero_sum_subset(c, effort_limit=1)
+    needed = exc_info.value.needed
+    assert needed < 1 << (m - r)
+    tracemalloc.start()
+    try:
+        cert = max_zero_sum_subset(c, effort_limit=needed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert xor_of(c, cert.indices) == 0 and cert.size >= m - r
+    assert peak <= DP_BYTES_PER_ENTRY * needed
