@@ -57,18 +57,20 @@ def _count_text(n: int, prefix: str = "") -> str:
 
 
 class EffortExceeded(ExcessKitError):
-    """Exact search would exceed the node budget.
+    """Exact search would exceed the effort budget.
 
     Carries the constructive certificate so callers still get a valid
-    (possibly sub-maximal) zero-sum subset.
+    (possibly sub-maximal) zero-sum subset. ``unit`` names what ``needed``
+    counts: kernel scan nodes, or the syndrome DP's table entries.
     """
 
-    def __init__(self, needed: int, budget: int, certificate):
+    def __init__(self, needed: int, budget: int, certificate, *, unit: str = "nodes"):
         self.needed = needed
         self.budget = budget
         self.certificate = certificate
+        self.unit = unit
         super().__init__(
-            f"exact search needs {_count_text(needed, '~')} nodes, "
+            f"exact search needs {_count_text(needed, '~')} {unit}, "
             f"budget is {_count_text(budget)}; "
             f"constructive certificate of size {certificate.size} is attached"
         )

@@ -4,13 +4,22 @@ All formats are UTF-8 text with lines ended by \\n, \\r\\n or \\r only. Blank
 lines and `#` comments are ignored everywhere, fields are `key: value`
 pairs, and block headers are bracketed section names. Unknown or duplicate
 fields are errors — fixture typos must fail loudly, not silently default.
+
+Every format is read by one loop, `_scan`, in a single pass over the decoded
+text: it drops blank and comment lines and checks each line's form as it
+goes, so these rules exist once for all four formats. Faults are reported in
+two phases. First the scan reports the first fault of line form in file
+order (an unknown section, a missing colon, an unknown or duplicate field).
+Only when every line has its form are the values checked: the fields before
+the first block (a family's `ambient` resolved), then the blocks in file
+order, each built into its value once its fields have been checked.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import sys
+from typing import NoReturn
 
 from .errors import CatalogError, NegativeB2, ParseError, SignatureExceedsRank, _bare, _quote
 from .gf2 import Gf2Collection, Gf2Vector
@@ -33,7 +42,6 @@ CATALOG_ENV_VAR = "EXCESS_KIT_CATALOG"
 
 _PROFILE_FIELDS = ("name", "signature", "euler_characteristic", "b1_f2")
 _SURFACE_FIELDS = ("genus", "euler_number", "class")
-_HEAD_FIELDS: dict[str, tuple[str, ...]] = {"catalog": (), "family": ("ambient",)}
 
 _Fields = dict[str, tuple[int, str]]
 
@@ -43,8 +51,25 @@ def _split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _read_lines(path: str) -> list[tuple[int, str]]:
-    """(line_number, stripped_text) of the content lines of a UTF-8 file."""
+def _scan(
+    path: str, what: str, head_keys: tuple[str, ...], header: str = "",
+    block_keys: tuple[str, ...] = (),
+) -> tuple[_Fields, list[tuple[int, _Fields]], list[tuple[int, str]]]:
+    """Read a UTF-8 file in one pass: its head fields, its blocks and its bare lines.
+
+    A content line is a line stripped of surrounding whitespace that is
+    neither blank nor a `#` comment. The content lines before the first
+    `header` line are the head, `what` fields named in `head_keys`; each
+    `header` line opens a block of fields named in `block_keys`. A field line
+    is `key: value`, and a line without a colon, an unknown key and a key
+    already in its head or block are faults. When there is a `header`, any
+    other line that starts with `[` is an unknown section. A head with no
+    field names keeps its content lines bare: a vector file's vectors, or a
+    catalog's lines before its first block.
+
+    Returns the head fields, one (header line number, {field: (line number,
+    value)}) per block and the (line number, line) of each bare line.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -55,63 +80,44 @@ def _read_lines(path: str) -> list[tuple[int, str]]:
         raise ParseError(
             path, line, f"invalid UTF-8: {exc.reason} at byte offset {exc.start}"
         ) from None
-    lines = []
-    for number, raw in enumerate(_split_lines(text), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append((number, line))
-    return lines
-
-
-def _add_field(
-    path: str, number: int, line: str, fields: _Fields, allowed: tuple[str, ...], what: str
-) -> None:
-    key, sep, value = line.partition(":")
-    if not sep:
-        raise ParseError(path, number, f"expected 'field: value', got {_quote(line)}")
-    key = key.strip()
-    if key not in allowed:
-        raise ParseError(path, number, f"unknown {what} field {_quote(key)}")
-    if key in fields:
-        raise ParseError(path, number, f"duplicate field {key!r}")
-    fields[key] = (number, value.strip())
-
-
-def _split_blocks(
-    path: str, kind: str, header: str, allowed: tuple[str, ...]
-) -> tuple[_Fields, list[tuple[int, _Fields]]]:
-    """Split a `kind` file into its head and the blocks opened by `header` lines.
-
-    The head is the lines before the first header: the kind's head fields,
-    read like block fields. A kind without head fields rejects a first line
-    that is not a header, but only once every line's form has been checked.
-    Returns the head fields and one (header line number, {field: (line
-    number, value)}) per block.
-    """
     head: _Fields = {}
     blocks: list[tuple[int, _Fields]] = []
-    fields, keys, what = head, _HEAD_FIELDS[kind], kind
-    lines = _read_lines(path)
-    for number, line in lines:
+    bare: list[tuple[int, str]] = []
+    fields, keys = head, head_keys
+    for number, line in enumerate(_split_lines(text), start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
         if line == header:
-            fields, keys, what = {}, allowed, header.strip("[]")
+            fields, keys, what = {}, block_keys, header[1:-1]
             blocks.append((number, fields))
-        elif line.startswith("["):
+        elif header and line[0] == "[":
             raise ParseError(path, number, f"unknown section {_quote(line)}")
-        elif keys:
-            _add_field(path, number, line, fields, keys, what)
-    if not _HEAD_FIELDS[kind] and lines and lines[0][1] != header:
-        raise ParseError(path, lines[0][0], f"field outside a {header} block")
-    return head, blocks
+        elif not keys:
+            bare.append((number, line))
+        else:
+            # The line is stripped, so the key ends and the value starts with
+            # the only whitespace left to strip.
+            key, sep, value = line.partition(":")
+            if not sep:
+                raise ParseError(path, number, f"expected 'field: value', got {_quote(line)}")
+            key = key.rstrip()
+            if key not in keys:
+                raise ParseError(path, number, f"unknown {what} field {_quote(key)}")
+            if key in fields:
+                raise ParseError(path, number, f"duplicate field {key!r}")
+            fields[key] = (number, value.lstrip())
+    return head, blocks, bare
 
 
-def _require(path: str, start: int, fields: _Fields, key: str, what: str) -> tuple[int, str]:
-    if key not in fields:
-        raise ParseError(path, start, f"{what} is missing field {key!r}")
-    return fields[key]
+def _missing(path: str, start: int, key: str, what: str) -> NoReturn:
+    """Raise the error for a missing field.
 
+    A field is a nonempty tuple, so a required one is read as
+    `fields.get(key) or _missing(...)`.
+    """
+    raise ParseError(path, start, f"{what} is missing field {key!r}")
 
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 # Python refuses int/str conversion past 4300 digits. A sum of m integers of
 # at most _MAX_DIGITS digits has at most _MAX_DIGITS + log10(m) + 1 digits,
@@ -129,7 +135,7 @@ def parse_decimal(text: str) -> int:
     Raises ValueError for anything else, including the non-ASCII digits,
     underscores and surrounding whitespace that int() would accept.
     """
-    if not _DECIMAL.fullmatch(text):
+    if not (text.isascii() and (text.isdigit() or (text[1:].isdigit() and text[0] in "+-"))):
         raise ValueError(f"not a decimal integer: {_quote(text)}")
     if len(text.lstrip("+-")) > _MAX_DIGITS:
         raise _TooManyDigits(f"more than {_MAX_DIGITS} digits")
@@ -148,7 +154,7 @@ def _int_field(
     path: str, start: int, fields: _Fields, key: str, what: str
 ) -> tuple[int, int]:
     """(line number, value) of a required integer field."""
-    num, raw = _require(path, start, fields, key, what)
+    num, raw = fields.get(key) or _missing(path, start, key, what)
     try:
         return num, parse_decimal(raw)
     except _TooManyDigits as exc:
@@ -163,7 +169,7 @@ def read_vector_file(path: str) -> Gf2Collection:
     """Read one bit-string vector per line; all lines must share a length."""
     vectors: list[Gf2Vector] = []
     dim: int | None = None
-    for number, line in _read_lines(path):
+    for number, line in _scan(path, "vector", ())[2]:
         try:
             vector = Gf2Vector.from_string(line)
         except ValueError as exc:
@@ -184,7 +190,7 @@ def _profile_from_fields(path: str, start: int, fields: _Fields) -> ManifoldProf
     An invalid profile keeps its exception class and gains the location of
     its header, or of its first field when it has no header.
     """
-    num, name = _require(path, start, fields, "name", "profile")
+    num, name = fields.get("name") or _missing(path, start, "name", "profile")
     if not name:
         raise ParseError(path, num, "field 'name' is empty")
     _, signature = _int_field(path, start, fields, "signature", "profile")
@@ -204,15 +210,14 @@ def _profile_from_fields(path: str, start: int, fields: _Fields) -> ManifoldProf
 
 def read_profile_file(path: str) -> ManifoldProfile:
     """Read a single profile: the four fields, no block header."""
-    fields: _Fields = {}
-    for number, line in _read_lines(path):
-        _add_field(path, number, line, fields, _PROFILE_FIELDS, "profile")
-    return _profile_from_fields(path, 0, fields)
+    return _profile_from_fields(path, 0, _scan(path, "profile", _PROFILE_FIELDS)[0])
 
 
 def read_catalog_file(path: str) -> dict[str, ManifoldProfile]:
     """Read a catalog of [profile] blocks, each validated on load."""
-    _, blocks = _split_blocks(path, "catalog", "[profile]", _PROFILE_FIELDS)
+    _, blocks, bare = _scan(path, "catalog", (), "[profile]", _PROFILE_FIELDS)
+    if bare:
+        raise ParseError(path, bare[0][0], "field outside a [profile] block")
     profiles: dict[str, ManifoldProfile] = {}
     for start, fields in blocks:
         profile = _profile_from_fields(path, start, fields)
@@ -277,8 +282,8 @@ def read_family_file(
     when that is zero). Returns the ambient profile, used as resolved since
     catalogs and profile files are validated when loaded, and the family.
     """
-    head, blocks = _split_blocks(path, "family", "[surface]", _SURFACE_FIELDS)
-    ambient_line, ref = _require(path, 0, head, "ambient", "family")
+    head, blocks, _ = _scan(path, "family", ("ambient",), "[surface]", _SURFACE_FIELDS)
+    ambient_line, ref = head.get("ambient") or _missing(path, 0, "ambient", "family")
     if not ref:
         raise ParseError(path, ambient_line, "field 'ambient' is empty")
     try:
@@ -288,26 +293,27 @@ def read_family_file(
     if not blocks:
         raise ParseError(path, ambient_line, "family has no [surface] blocks")
 
+    dim = ambient.b2_f2
     members: list[SurfaceDatum] = []
     for start, fields in blocks:
         num, genus = _int_field(path, start, fields, "genus", "surface")
         if genus < 1:
             raise ParseError(path, num, f"field 'genus' must be >= 1, got {genus}")
         _, euler = _int_field(path, start, fields, "euler_number", "surface")
-        num, raw = _require(path, start, fields, "class", "surface")
+        num, raw = fields.get("class") or _missing(path, start, "class", "surface")
         try:
             mod2_class = Gf2Vector.from_string(raw)
         except ValueError:
             raise ParseError(
                 path, num, f"field 'class' is not a bit string: {_quote(raw)}"
             ) from None
-        if mod2_class.dim != ambient.b2_f2:
+        if mod2_class.dim != dim:
             raise ParseError(
                 path,
                 num,
                 f"field 'class' has length {mod2_class.dim}, ambient "
-                f"{_quote(ambient.name)} needs {ambient.b2_f2}",
+                f"{_quote(ambient.name)} needs {dim}",
             )
-        members.append(SurfaceDatum(genus=genus, euler_number=euler, mod2_class=mod2_class))
-    family = SurfaceFamily(ambient_dim=ambient.b2_f2, members=tuple(members))
+        members.append(SurfaceDatum(genus, euler, mod2_class))
+    family = SurfaceFamily(ambient_dim=dim, members=tuple(members))
     return ambient, family

@@ -354,8 +354,9 @@ def max_zero_sum_subset(
     toward the lexicographically smallest index set: with the vectors
     passed in reverse index order, bit j standing for index m - j, that is
     the numerically greatest zero-sum mask of largest size. Raises
-    EffortExceeded (with the constructive certificate attached) when the
-    cheaper cost exceeds the budget; effort_limit=0 selects the default
+    EffortExceeded (with the constructive certificate attached, and the
+    cheaper strategy's unit: nodes or table entries) when the cheaper cost
+    exceeds the budget; effort_limit=0 selects the default
     budget. The DP keeps at most the entries it counts, so the budget bounds
     its memory as well. ``workers`` is accepted for compatibility and has no
     effect.
@@ -367,9 +368,13 @@ def max_zero_sum_subset(
     m = len(coords)
     kernel_cost = 1 << (m - rank)
     needed = min(kernel_cost, dp_cost)
+    scan = kernel_cost <= dp_cost
     if needed > budget:
-        raise EffortExceeded(needed, budget, zero_sum_subcollection(collection))
-    strategy = _scan_kernel if kernel_cost <= dp_cost else _trace_syndromes
+        raise EffortExceeded(
+            needed, budget, zero_sum_subcollection(collection),
+            unit="nodes" if scan else "table entries",
+        )
+    strategy = _scan_kernel if scan else _trace_syndromes
     chosen = strategy(coords)
     # Digit i of the m-digit binary form is bit m - 1 - i, so index i + 1.
     digits = format(chosen, f"0{m}b")

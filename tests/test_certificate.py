@@ -11,9 +11,11 @@ from __future__ import annotations
 import random
 import tracemalloc
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from excess_kit.errors import EffortExceeded
 from excess_kit.gf2 import (
     Gf2Collection,
     Gf2Vector,
@@ -25,6 +27,7 @@ from excess_kit.gf2 import (
 
 from helpers import xor_of
 from test_fuzz import FUZZ
+from test_solver import ranked_collection
 
 
 @st.composite
@@ -55,15 +58,22 @@ def test_certificate_is_the_rest_and_its_basis_coordinates(collection):
 
 
 def test_full_rank_solve_peak_memory():
-    """A full-rank m = 32 solve visits 2^17 nodes; each costs under 90 bytes."""
-    rng = random.Random(1)
-    vectors = tuple(Gf2Vector(64, rng.getrandbits(64)) for _ in range(32))
-    collection = Gf2Collection(64, vectors)
-    tracemalloc.start()
-    try:
-        cert = max_zero_sum_subset(collection)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert cert.size == 0
-    assert peak < 11 * 2**20
+    """A kernel scan over 2^16 nodes peaks under 256 bytes per vector.
+
+    m vectors of rank m - 16 cost 2^16 kernel nodes and far more DP entries,
+    so the scan runs. It keeps the m - r kernel relations and one running
+    mask, O(m) memory whatever the number of nodes it visits.
+    """
+    for m in (32, 64):
+        collection = ranked_collection(random.Random(m), m, m - 16)
+        with pytest.raises(EffortExceeded) as exc_info:
+            max_zero_sum_subset(collection, effort_limit=1)
+        assert (exc_info.value.needed, exc_info.value.unit) == (1 << 16, "nodes")
+        tracemalloc.start()
+        try:
+            cert = max_zero_sum_subset(collection, effort_limit=1 << 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert xor_of(collection, cert.indices) == 0 and cert.size >= 16
+        assert peak < 256 * m

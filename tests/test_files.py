@@ -241,6 +241,15 @@ class TestFamilyFile:
             (1, 2), (2, -4),
         ]
 
+    def test_whitespace_around_keys_and_values_is_ignored(self, tmp_path):
+        path = write(
+            tmp_path,
+            "f.txt",
+            "ambient :s4\n [surface] \n\tgenus :  2\t\neuler_number\t:-4\nclass :\n",
+        )
+        _, family = read_family_file(path)
+        assert [(s.genus, s.euler_number) for s in family.members] == [(2, -4)]
+
     def test_class_length_checked_against_ambient(self, tmp_path):
         profile = write(
             tmp_path,
@@ -410,3 +419,60 @@ class TestLineBreaks:
         with pytest.raises(ParseError) as err:
             read_vector_file(path)
         assert_decode_error(err, path, 3)
+
+
+class TestFaultOrder:
+    """Faults of line form come first, in file order; then the head fields;
+    then the members, block by block.
+    """
+
+    def test_unknown_field_in_a_later_block_beats_a_bad_genus(self, tmp_path):
+        path = write(
+            tmp_path,
+            "f.txt",
+            "ambient: s4\n[surface]\ngenus: zero\neuler_number: 2\nclass:\n"
+            "[surface]\ngenus: 1\neuler_number: 2\nclass:\n"
+            "[surface]\ngenus: 1\neuler_number: 2\nclass:\ncolour: red\n",
+        )
+        with pytest.raises(ParseError) as err:
+            read_family_file(path)
+        assert str(err.value) == f"{path}:14: unknown surface field 'colour'"
+
+    def test_missing_colon_beats_an_earlier_class_length_fault(self, tmp_path):
+        profile = write(
+            tmp_path, "amb.txt", "name: two\nsignature: 0\neuler_characteristic: 4\nb1_f2: 0\n"
+        )
+        path = write(
+            tmp_path,
+            "f.txt",
+            f"ambient: {profile}\n[surface]\ngenus: 1\neuler_number: 2\nclass: 1\n"
+            "[surface]\ngenus 1\neuler_number: 2\nclass: 10\n",
+        )
+        with pytest.raises(ParseError) as err:
+            read_family_file(path)
+        assert str(err.value) == f"{path}:7: expected 'field: value', got 'genus 1'"
+
+    def test_unknown_ambient_beats_a_bad_member(self, tmp_path):
+        path = write(
+            tmp_path, "f.txt", "ambient: ghost\n[surface]\ngenus: 0\neuler_number: x\nclass: 2\n"
+        )
+        with pytest.raises(ParseError) as err:
+            read_family_file(path)
+        assert str(err.value).startswith(f"{path}:1: profile reference 'ghost' is neither")
+
+    def test_unknown_section_beats_a_catalog_head_field(self, tmp_path):
+        path = write(
+            tmp_path,
+            "cat.txt",
+            "name: early\n[profile]\nname: a\nsignature: 0\neuler_characteristic: 2\n"
+            "b1_f2: 0\n[profiles]\n",
+        )
+        with pytest.raises(ParseError) as err:
+            read_catalog_file(path)
+        assert str(err.value) == f"{path}:7: unknown section '[profiles]'"
+
+    def test_section_line_in_a_profile_file_is_a_line_without_a_colon(self, tmp_path):
+        path = write(tmp_path, "p.txt", "# demo\n[profile]\n" + TestProfileFile.GOOD)
+        with pytest.raises(ParseError) as err:
+            read_profile_file(path)
+        assert str(err.value) == f"{path}:2: expected 'field: value', got '[profile]'"

@@ -9,7 +9,6 @@ import pytest
 
 from excess_kit.errors import EffortExceeded
 from excess_kit.gf2 import (
-    EXHAUSTIVE_LIMIT,
     Gf2Collection,
     Gf2Vector,
     _reverse_pass,
@@ -39,7 +38,21 @@ def test_empty_collection():
     assert max_zero_sum_subset(Gf2Collection(3, ())).size == 0
 
 
-def test_matches_brute_force_exhaustive_branch():
+def cheaper_cost(c: Gf2Collection) -> int:
+    """min(2^(m - r) kernel scan nodes, syndrome DP entries), from brute-force ranks.
+
+    The DP has one table of 2^(rank) entries per prefix of the vectors taken
+    in reverse index order.
+    """
+    m = len(c)
+    reversed_vectors = c.vectors[::-1]
+    dp = sum(
+        1 << brute_rank(Gf2Collection(c.dim, reversed_vectors[:k])) for k in range(1, m + 1)
+    )
+    return min(1 << (m - brute_rank(c)), dp)
+
+
+def test_matches_brute_force_on_random_collections_up_to_length_12():
     rng = random.Random(411)
     for _ in range(300):
         c = random_collection(rng, max_dim=10, max_len=12, min_len=1)
@@ -50,12 +63,12 @@ def test_matches_brute_force_exhaustive_branch():
         assert xor_of(c, cert.indices) == 0
 
 
-def test_matches_brute_force_mitm_branch():
-    # lengths just past the crossover keep the brute-force table affordable
+def test_matches_brute_force_at_lengths_21_to_23():
+    # the brute-force table of 2^m subset sums stays affordable at these lengths
     rng = random.Random(59)
     for _ in range(25):
         dim = rng.randint(1, 24)
-        m = rng.randint(EXHAUSTIVE_LIMIT + 1, EXHAUSTIVE_LIMIT + 3)
+        m = rng.randint(21, 23)
         c = Gf2Collection(
             dim, tuple(Gf2Vector(dim, rng.getrandbits(dim)) for _ in range(m))
         )
@@ -110,16 +123,17 @@ def test_negative_effort_rejected():
         max_zero_sum_subset(vecs("1"), effort_limit=-1)
 
 
-def test_effort_budget_on_the_split_branch():
+def test_effort_budget_refuses_below_the_cheaper_cost_and_solves_above_it():
     rng = random.Random(9)
     c = Gf2Collection(
         8, tuple(Gf2Vector(8, rng.getrandbits(8)) for _ in range(22))
     )
-    # halves of 11 cost 2^11 each; 1000 nodes cannot cover that
+    needed = cheaper_cost(c)
+    assert 1000 < needed <= 1 << 12
     with pytest.raises(EffortExceeded) as exc_info:
         max_zero_sum_subset(c, effort_limit=1000)
+    assert exc_info.value.needed == needed
     assert xor_of(c, exc_info.value.certificate.indices) == 0
-    # a budget that covers both halves allows the exact answer
     cert = max_zero_sum_subset(c, effort_limit=1 << 12)
     assert cert.size >= zero_sum_subcollection(c).size
 
@@ -166,19 +180,29 @@ def test_each_strategy_matches_brute_force_at_every_rank(strategy):
 
 
 def test_needed_is_the_cheaper_strategy_cost():
-    # Kernel scan: 2^(m - r) nodes. Syndrome DP: one table of 2^(rank) entries
-    # per prefix of the vectors taken in reverse index order.
     rng = random.Random(10)
     for m, r in [(6, 3), (9, 2), (12, 9), (14, 4), (14, 7)]:
         c = ranked_collection(rng, m, r)
-        reversed_vectors = c.vectors[::-1]
-        dp = sum(
-            1 << brute_rank(Gf2Collection(c.dim, reversed_vectors[:k]))
-            for k in range(1, m + 1)
-        )
         with pytest.raises(EffortExceeded) as exc_info:
             max_zero_sum_subset(c, effort_limit=1)
-        assert exc_info.value.needed == min(1 << (m - r), dp)
+        assert exc_info.value.needed == cheaper_cost(c)
+
+
+def test_refusal_names_the_unit_of_the_cheaper_strategy():
+    # 60 vectors of rank 10: the DP's 53,246 entries are far cheaper than
+    # 2^50 kernel nodes, so the refusal counts table entries.
+    c = ranked_collection(random.Random(1), 60, 10)
+    with pytest.raises(EffortExceeded) as exc_info:
+        max_zero_sum_subset(c, effort_limit=1000)
+    err = exc_info.value
+    assert err.unit == "table entries" and err.needed == cheaper_cost(c) < 1 << 50
+    assert str(err).startswith(f"exact search needs ~{err.needed} table entries, budget is 1000; ")
+    # 8 vectors of rank 5: 2^3 kernel nodes undercut the DP.
+    c = ranked_collection(random.Random(2), 8, 5)
+    with pytest.raises(EffortExceeded) as exc_info:
+        max_zero_sum_subset(c, effort_limit=1)
+    assert exc_info.value.unit == "nodes"
+    assert str(exc_info.value).startswith("exact search needs ~8 nodes, budget is 1; ")
 
 
 def test_full_rank_solve_fits_a_budget_of_one():
