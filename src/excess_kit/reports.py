@@ -3,7 +3,10 @@
 Every machine-readable document is a tree of dicts, lists, strings,
 integers, booleans, and nulls — floating point never appears. Canonical
 serialization (sorted keys, fixed separators) makes equal documents
-byte-identical, which the determinism checks rely on.
+byte-identical, which the determinism checks rely on. canonical_json writes
+the bytes itself, in the same layout as json.dumps(sort_keys=True, indent=2,
+ensure_ascii=True); a float, NaN, infinity or non-str key anywhere raises
+TypeError.
 
 A document's keys are its result type's fields, taken with vars(); only
 the values JSON cannot take as they are (enums, tuples, nested reports,
@@ -13,7 +16,7 @@ written out key by key, as they rename, join or add fields.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .covers import ConsistencyResult, CoverProfile
@@ -38,15 +41,51 @@ __all__ = [
 ]
 
 
-def _reject_float(literal: str) -> None:
-    raise TypeError(f"float {literal} in document — documents must be exact")
-
-
 def canonical_json(document: Any) -> str:
-    """Serialize with sorted keys and fixed separators; no float, NaN or infinity."""
-    text = json.dumps(document, sort_keys=True, indent=2, ensure_ascii=True)
-    json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-    return text
+    """Sorted keys, two-space indent; a float or a non-str key raises TypeError."""
+    out: list[str] = []
+    _write(document, "\n", out)
+    return "".join(out)
+
+
+def _write(value: Any, indent: str, out: list[str]) -> None:
+    """Append value's JSON to out; indent is a newline and the current line's spaces."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        head = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"{type(key).__name__} key in document — keys must be str")
+            out.append(head + _quote(key) + ": ")
+            _write(value[key], inner, out)
+            head = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        head = "[" + inner
+        for item in value:
+            out.append(head)
+            _write(item, inner, out)
+            head = "," + inner
+        out.append(indent + "]")
+    else:
+        raise TypeError(f"{type(value).__name__} in document — documents must be exact")
 
 
 def _trace_document(trace: ProofTrace) -> list[dict[str, Any]]:
