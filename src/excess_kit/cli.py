@@ -27,7 +27,7 @@ from .fileio import (
 )
 from .gf2 import Gf2Vector, max_zero_sum_subset, zero_sum_subcollection
 from .manifolds import ManifoldProfile, budget_report
-from .surfaces import SurfaceDatum, SurfaceFamily, _admissible_range, tube
+from .surfaces import SurfaceDatum, _admissible_range, tube
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -52,6 +52,9 @@ def _effort_arg(text: str) -> int:
     if effort < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {effort}")
     return effort
+
+
+_EFFORT_HELP = "budget of the exact search (0 = default 2^22); used only with --exact"
 
 
 class _UsageError(Exception):
@@ -102,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the exact zero-sum maximizer instead of the constructive one",
     )
     audit.add_argument("--format", choices=("text", "json"), default="text")
-    audit.add_argument("--effort", type=_effort_arg, default=0, metavar="N")
+    audit.add_argument("--effort", type=_effort_arg, default=0, metavar="N", help=_EFFORT_HELP)
 
     tube_cmd = sub.add_parser("tube", help="tube a family into one surface")
     tube_cmd.set_defaults(handler=_cmd_tube)
@@ -119,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     zerosum.set_defaults(handler=_cmd_zerosum)
     zerosum.add_argument("--vectors", required=True, metavar="PATH")
     zerosum.add_argument("--exact", action="store_true")
-    zerosum.add_argument("--effort", type=_effort_arg, default=0, metavar="N")
+    zerosum.add_argument("--effort", type=_effort_arg, default=0, metavar="N", help=_EFFORT_HELP)
 
     massey = sub.add_parser("massey", help="admissible Euler numbers for a genus")
     massey.set_defaults(handler=_cmd_massey)
@@ -158,8 +161,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return _print_budget(resolve_profile(args.manifold))
 
 
-def _load_family_for(ref: str, path: str) -> tuple[ManifoldProfile, SurfaceFamily]:
-    """Resolve the command's profile and the family's declared ambient.
+def _load_family_for(ref: str, path: str) -> tuple:
+    """The command's profile and the family file's family, as (profile, family).
 
     The family file names its own ambient profile; it must agree with the
     profile named on the command line, field for field.
@@ -219,9 +222,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
             mod2_class = Gf2Vector.from_string(args.class_bits)
         except ValueError as exc:
             raise ExcessKitError(str(exc)) from None
-    surface = SurfaceDatum(args.genus, args.euler, mod2_class)
-    tubed = tube(SurfaceFamily(mod2_class.dim, (surface,)))
-    cover = branched_double_cover(profile, tubed)
+    cover = branched_double_cover(profile, SurfaceDatum(args.genus, args.euler, mod2_class))
     print(reports.render_cover_text(cover, consistency_check(cover)))
     return 0
 

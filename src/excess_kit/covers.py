@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotModTwoNull, OddEulerNumber, _bare
-from .manifolds import ManifoldProfile, validate_profile
-from .surfaces import TubedSurface
+from .errors import NotModTwoNull, OddEulerNumber
+from .manifolds import ManifoldProfile, _require_dim, validate_profile
+from .surfaces import SurfaceDatum, TubedSurface
 
 __all__ = [
     "CoverProfile",
@@ -49,7 +49,9 @@ class ConsistencyResult:
     witness: str | None = None
 
 
-def cover_chain(m: ManifoldProfile, f: TubedSurface) -> tuple[int, int, int]:
+def cover_chain(
+    m: ManifoldProfile, f: SurfaceDatum | TubedSurface
+) -> tuple[int, int, int]:
     """(chi(N), 2*sigma(N), b2 upper bound) of the cover branched along f.
 
     The doubled signature 4*sigma(M) - e(F) is an integer for every Euler
@@ -63,7 +65,7 @@ def cover_chain(m: ManifoldProfile, f: TubedSurface) -> tuple[int, int, int]:
 
 
 def branched_double_cover(
-    m: ManifoldProfile, f: TubedSurface
+    m: ManifoldProfile, f: SurfaceDatum | TubedSurface
 ) -> CoverProfile:
     """Invariants of the double cover of m branched along f.
 
@@ -73,11 +75,7 @@ def branched_double_cover(
     2*chi(M) + g - 4 + 4*b1(M).
     """
     validate_profile(m)
-    if f.mod2_class.dim != m.b2_f2:
-        raise DimensionMismatch(
-            f"branch surface class has dimension {f.mod2_class.dim}, "
-            f"profile {_bare(m.name)} has b2_f2 = {m.b2_f2}"
-        )
+    _require_dim(m, f.mod2_class.dim, "branch surface class has")
     if not f.mod2_class.is_zero:
         raise NotModTwoNull(
             f"branch surface class {f.mod2_class} is nonzero mod 2"

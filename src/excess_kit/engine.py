@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .covers import cover_chain, signature_defect
-from .errors import DimensionMismatch, EulerTooSmall, NotAPlaneFamily, _bare
+from .errors import EulerTooSmall, NotAPlaneFamily
 from .gf2 import (
     Gf2Collection,
     Gf2Vector,
     max_zero_sum_subset,
     zero_sum_subcollection,
 )
-from .manifolds import ManifoldProfile, budget_report, excess_budget
+from .manifolds import ManifoldProfile, _require_dim, budget_report, excess_budget
 from .surfaces import SignClass, SurfaceFamily, TubedSurface, sign_class, tube
 
 __all__ = [
@@ -200,19 +200,11 @@ class PlaneAuditReport:
     notes: tuple[str, ...] = ()
 
 
-def _require_matching_dim(m: ManifoldProfile, family: SurfaceFamily) -> None:
-    if family.ambient_dim != m.b2_f2:
-        raise DimensionMismatch(
-            f"family classes live in dimension {family.ambient_dim}, "
-            f"profile {_bare(m.name)} has b2_f2 = {m.b2_f2}"
-        )
-
-
 def _tube_and_check(
     m: ManifoldProfile, family: SurfaceFamily
 ) -> tuple[TubedSurface, HypothesisRecord]:
     """Tube the family once; the class-sum hypothesis reads the tubed class."""
-    _require_matching_dim(m, family)
+    _require_dim(m, family.ambient_dim, "family classes live in")
     tubed = tube(family)
     return tubed, HypothesisRecord(sign=sign_class(family), class_sum=tubed.mod2_class)
 
@@ -370,11 +362,14 @@ def plane_family_audit(
     extracts a zero-sum subfamily (constructive by default, exact maximizer
     with use_exact); stage four runs the excess check on that subfamily,
     whose hypotheses hold by construction. The verdict is Obstructed when
-    either the count exceeds B or the subfamily check obstructs. ``workers``
-    is accepted for compatibility and has no effect.
+    either the count exceeds B or the subfamily check obstructs. With
+    use_exact, an over-budget search raises EffortExceeded whose attached
+    certificate numbers the majority subfamily's members 1, 2, ... in family
+    order, not by family position; zero_sum_indices is by family position.
+    ``workers`` is accepted for compatibility and has no effect.
     """
     budget = budget_report(m)
-    _require_matching_dim(m, planes)
+    _require_dim(m, planes.ambient_dim, "family classes live in")
     for pos, s in enumerate(planes.members, start=1):
         if s.genus != 1:
             raise NotAPlaneFamily(f"member {pos} has genus {s.genus}, expected 1")

@@ -58,7 +58,7 @@ class Gf2Vector:
     def __post_init__(self):
         if self.dim < 0:
             raise ValueError("dim must be nonnegative")
-        if not 0 <= self.bits < (1 << self.dim):
+        if self.bits < 0 or self.bits.bit_length() > self.dim:
             raise ValueError(f"bits out of range for dimension {self.dim}")
 
     @classmethod
@@ -270,8 +270,8 @@ def _reverse_pass(collection: Gf2Collection) -> tuple[list[int], int, int]:
     return coords, rank, dp_cost
 
 
-def _scan_kernel(coords: list[int]) -> int:
-    """Largest zero-sum mask, the numerically greatest on a tie.
+def _scan_kernel(coords: list[int]) -> str:
+    """Largest zero-sum set as m digits, the numerically greatest mask on a tie.
 
     Each dependent vector and the kept vectors in its combination form one
     kernel relation; the m - r relations are a basis of the zero-sum masks,
@@ -298,11 +298,12 @@ def _scan_kernel(coords: list[int]) -> int:
         size = cur.bit_count()
         if size > best_size or (size == best_size and cur > best):
             best, best_size = cur, size
-    return best
+    # The leading 1 keeps exactly m digits after it, none when m = 0.
+    return format(best | 1 << len(coords), "b")[1:]
 
 
-def _trace_syndromes(coords: list[int]) -> int:
-    """Largest zero-sum mask, the numerically greatest on a tie.
+def _trace_syndromes(coords: list[int]) -> str:
+    """Largest zero-sum set as m digits, the numerically greatest mask on a tie.
 
     Wolf's syndrome trellis: after the first k vectors, entry s of table k
     is the least number of them whose coordinates XOR to s. Every syndrome
@@ -315,8 +316,8 @@ def _trace_syndromes(coords: list[int]) -> int:
     the optimum stays reachable without it, gives the numerically least
     complement of least size.
     """
-    tables: list[list[int]] = []
     table = [0]
+    tables = [table]  # tables[k] is the table after the first k vectors
     syndrome = 0
     for c in coords:
         if c >= len(table):
@@ -332,13 +333,13 @@ def _trace_syndromes(coords: list[int]) -> int:
     # setting digits keeps the rebuild linear in m, where OR-ing 1 << j is not.
     digits = bytearray(b"1") * len(coords)
     for j in range(len(coords) - 1, -1, -1):
-        before = tables[j - 1] if j else (0,)
+        before = tables[j]
         if syndrome < len(before) and before[syndrome] == size:
             continue
         digits[-1 - j] = ord("0")
         syndrome ^= coords[j]
         size -= 1
-    return int(digits or b"0", 2)
+    return digits.decode()
 
 
 def max_zero_sum_subset(
@@ -375,7 +376,6 @@ def max_zero_sum_subset(
             unit="nodes" if scan else "table entries",
         )
     strategy = _scan_kernel if scan else _trace_syndromes
-    chosen = strategy(coords)
-    # Digit i of the m-digit binary form is bit m - 1 - i, so index i + 1.
-    digits = format(chosen, f"0{m}b")
+    # Digit i is bit m - 1 - i of the mask, so index i + 1.
+    digits = strategy(coords)
     return SubsetCertificate(frozenset(i + 1 for i, d in enumerate(digits) if d == "1"))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NegativeB2, SignatureExceedsRank, _bare
+from .errors import DimensionMismatch, NegativeB2, SignatureExceedsRank, _bare
 
 __all__ = [
     "ManifoldProfile",
@@ -69,6 +69,15 @@ def validate_profile(profile: ManifoldProfile) -> ManifoldProfile:
             f"exceeds b2_f2 = {b2}"
         )
     return profile
+
+
+def _require_dim(profile: ManifoldProfile, dim: int, subject: str) -> None:
+    """Classes live in the profile's b2_f2 dimensions; subject names whose dim it is."""
+    if dim != profile.b2_f2:
+        raise DimensionMismatch(
+            f"{subject} dimension {dim}, "
+            f"profile {_bare(profile.name)} has b2_f2 = {profile.b2_f2}"
+        )
 
 
 def excess_budget(profile: ManifoldProfile) -> int:

@@ -217,6 +217,20 @@ def test_cover_nonzero_class(tmp_path, capsys):
     assert code == 2 and "nonzero" in err
 
 
+def test_cover_on_a_profile_with_huge_b1(tmp_path, capsys):
+    profile = tmp_path / "p.txt"
+    profile.write_text(
+        "name: huge\nsignature: 0\neuler_characteristic: 2\n"
+        "b1_f2: 100000000000000000000\n",
+        encoding="utf-8",
+    )
+    code, out, err = invoke(
+        capsys, "cover", "--manifold", str(profile), "--genus", "1", "--euler", "2"
+    )
+    assert code == 0 and err == ""
+    assert "b2_f2_upper: 400000000000000000001\n" in out
+
+
 def test_zerosum_constructive_and_exact(tmp_path, capsys):
     vectors = tmp_path / "v.txt"
     vectors.write_text("10\n01\n11\n", encoding="utf-8")
@@ -250,6 +264,20 @@ def test_parse_error_names_field_and_line(tmp_path, capsys):
     code, _, err = invoke(capsys, "check", "--manifold", "s4", "--family", path)
     assert code == 2
     assert "klass" in err and ":5:" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["audit", "--help"]])
+def test_help_exits_zero_with_usage(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: excess-kit")
+
+
+def test_effort_help_says_it_needs_exact(capsys):
+    for command in ("audit", "zerosum"):
+        code, out, _ = invoke(capsys, command, "--help")
+        assert code == 0
+        assert "used only with --exact" in " ".join(out.split())
 
 
 def test_usage_error_exit_two(capsys):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from excess_kit.engine import (
+    TraceStep,
     Verdict,
     batch_check,
     check_hypotheses,
@@ -15,6 +16,7 @@ from excess_kit.engine import (
 )
 from excess_kit.errors import (
     DimensionMismatch,
+    EffortExceeded,
     EulerTooSmall,
     NotAPlaneFamily,
     SignatureExceedsRank,
@@ -68,8 +70,13 @@ class TestCheckHypotheses:
         assert rec.failing() == "same-sign+class-sum"
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        message = "family classes live in dimension 1, profile s4 has b2_f2 = 0"
+        with pytest.raises(DimensionMismatch) as err:
             check_hypotheses(S4, fam(datum(1, 2, "1"), dim=1))
+        assert str(err.value) == message
+        with pytest.raises(DimensionMismatch) as err:
+            plane_family_audit(S4, fam(datum(1, 4, "1"), dim=1))
+        assert str(err.value) == message
 
 
 class TestExcessCheck:
@@ -203,6 +210,10 @@ class TestExcessCheck:
         ]
         assert r.trace.replay()
 
+    def test_trace_step_rejects_an_unknown_relation(self):
+        with pytest.raises(ValueError, match="unknown relation '<'"):
+            TraceStep("x", 1, "<", 2, "anchor")
+
 
 class TestPlaneFamilyAudit:
     def test_single_plane_on_sphere(self):
@@ -233,6 +244,17 @@ class TestPlaneFamilyAudit:
             plane_family_audit(S4, fam(datum(1, 2)))
         with pytest.raises(EulerTooSmall):
             plane_family_audit(S4, fam(datum(1, -1)))
+
+    def test_refused_certificate_numbers_the_majority(self):
+        # Members 2-7 are the majority; the refusal's certificate counts
+        # them 1-6, while the audit itself reports family positions.
+        p = ManifoldProfile("two", 0, 4, 0)
+        planes = fam(datum(1, 3, "00"), *(datum(1, -3, "00") for _ in range(6)), dim=2)
+        audit = plane_family_audit(p, planes)
+        assert audit.majority_indices == audit.zero_sum_indices == (2, 3, 4, 5, 6, 7)
+        with pytest.raises(EffortExceeded) as err:
+            plane_family_audit(p, planes, use_exact=True, effort_limit=1)
+        assert err.value.certificate.sorted_indices() == (1, 2, 3, 4, 5, 6)
 
     def test_majority_tie_breaks_nonnegative(self):
         p = ManifoldProfile("two", 0, 4, 0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -43,10 +44,33 @@ class TestGf2Vector:
             Gf2Vector.from_string("10") ^ Gf2Vector.from_string("100")
 
     def test_bits_out_of_range(self):
-        with pytest.raises(ValueError):
-            Gf2Vector(2, 4)
-        with pytest.raises(ValueError):
-            Gf2Vector(-1, 0)
+        for dim, bits, message in [
+            (2, 4, "bits out of range for dimension 2"),
+            (3, 8, "bits out of range for dimension 3"),
+            (3, -1, "bits out of range for dimension 3"),
+            (-1, 0, "dim must be nonnegative"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                Gf2Vector(dim, bits)
+            assert str(err.value) == message
+
+    def test_range_check_builds_no_power_of_two(self):
+        # A profile's b2_f2 may have 20 digits; 1 << dim would not fit in memory.
+        tracemalloc.start()
+        try:
+            v = Gf2Vector(10**20, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.is_zero and peak < 1024
+        assert Gf2Vector(10**20, 1 << (10**6)).weight == 1
+
+    def test_index_out_of_range(self):
+        v = Gf2Vector(3, 5)
+        assert [v[i] for i in range(3)] == [1, 0, 1]
+        for bad in (3, -1):
+            with pytest.raises(IndexError):
+                v[bad]
 
     def test_from_bits(self):
         assert Gf2Vector.from_bits([1, 0, 1]).to01() == "101"
@@ -131,6 +155,10 @@ class TestCoordinates:
         assert coordinates(c, [1, 2], Gf2Vector.zero(2)) == frozenset()
         with pytest.raises(NotInSpan):
             coordinates(vecs("10"), [1], Gf2Vector.from_string("01"))
+
+    def test_target_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="target dimension differs"):
+            coordinates(vecs("10", "01"), [1, 2], Gf2Vector.from_string("110"))
 
     def test_dependent_basis_rejected(self):
         c = vecs("10", "10")

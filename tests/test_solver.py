@@ -174,8 +174,9 @@ def test_each_strategy_matches_brute_force_at_every_rank(strategy):
     for m, r in shapes * 3:
         c = ranked_collection(rng, m, r)
         assert brute_rank(c) == r
-        mask = strategy(_reverse_pass(c)[0])
-        chosen = tuple(sorted(m - j for j in range(m) if (mask >> j) & 1))
+        digits = strategy(_reverse_pass(c)[0])
+        assert len(digits) == m
+        chosen = tuple(i + 1 for i, d in enumerate(digits) if d == "1")
         assert (len(chosen), chosen) == brute_best_zero_sum(c)
 
 

@@ -63,6 +63,10 @@ class TestTube:
         assert (t.genus, t.euler_number, t.euler_characteristic) == (3, -6, -1)
         assert t.mod2_class.to01() == "01"
 
+    def test_tubed_surface_needs_matching_euler_characteristic(self):
+        with pytest.raises(ValueError, match="euler_characteristic 1 != 2 - genus"):
+            TubedSurface(2, 0, 1, Gf2Vector.zero(0))
+
     def test_three_planes_classes_cancel(self):
         t = tube(
             family(
