@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotModTwoNull, OddEulerNumber
+from .errors import NotModTwoNull, OddEulerNumber, _bare
 from .manifolds import ManifoldProfile, _require_dim, validate_profile
 from .surfaces import SurfaceDatum, TubedSurface
 
@@ -78,7 +78,7 @@ def branched_double_cover(
     _require_dim(m, f.mod2_class.dim, "branch surface class has")
     if not f.mod2_class.is_zero:
         raise NotModTwoNull(
-            f"branch surface class {f.mod2_class} is nonzero mod 2"
+            f"branch surface class {_bare(str(f.mod2_class))} is nonzero mod 2"
         )
     if f.euler_number % 2 != 0:
         raise OddEulerNumber(

@@ -13,11 +13,22 @@ order (an unknown section, a missing colon, an unknown or duplicate field).
 Only when every line has its form are the values checked: the fields before
 the first block (a family's `ambient` resolved), then the blocks in file
 order, each built into its value once its fields have been checked.
+
+A family file in the plain layout skips the scan: it is ASCII with `\n` line
+ends and no comments, an `ambient: <ref>` line, then `[surface]` blocks of
+`genus: <int>`, `euler_number: <int>` and `class:` (then optionally a space
+and the bits) in that order, each block after one blank line or none (the
+same for every block), with no other whitespace around a line. One
+compiled match reads the ambient line and one `findall` checks and reads
+every block, with line numbers from the block's position; any other family
+file goes through `_scan`. Both give the same fields to one loop that builds
+the values, so the values and faults of a family do not depend on its layout.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import sys
 from typing import NoReturn
 
@@ -43,7 +54,11 @@ CATALOG_ENV_VAR = "EXCESS_KIT_CATALOG"
 _PROFILE_FIELDS = ("name", "signature", "euler_characteristic", "b1_f2")
 _SURFACE_FIELDS = ("genus", "euler_number", "class")
 
-_Fields = dict[str, tuple[int, str]]
+_Field = tuple[int, str]
+_Fields = dict[str, _Field]
+# One [surface] block: its header line number and its genus, euler_number and
+# class fields, each (line number, value) or None when missing.
+_Member = tuple[int, _Field | None, _Field | None, _Field | None]
 
 
 def _split_lines(text: str) -> list[str]:
@@ -51,11 +66,25 @@ def _split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
+def _read_text(path: str) -> str:
+    """The file's text, decoded as UTF-8; a bad byte is a fault at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; it sits on their last line.
+        line = len(_split_lines(data[: exc.start].decode("utf-8")))
+        raise ParseError(
+            path, line, f"invalid UTF-8: {exc.reason} at byte offset {exc.start}"
+        ) from None
+
+
 def _scan(
-    path: str, what: str, head_keys: tuple[str, ...], header: str = "",
+    path: str, text: str, what: str, head_keys: tuple[str, ...], header: str = "",
     block_keys: tuple[str, ...] = (),
 ) -> tuple[_Fields, list[tuple[int, _Fields]], list[tuple[int, str]]]:
-    """Read a UTF-8 file in one pass: its head fields, its blocks and its bare lines.
+    """Read a file's text in one pass: its head fields, its blocks and its bare lines.
 
     A content line is a line stripped of surrounding whitespace that is
     neither blank nor a `#` comment. The content lines before the first
@@ -70,16 +99,6 @@ def _scan(
     Returns the head fields, one (header line number, {field: (line number,
     value)}) per block and the (line number, line) of each bare line.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # The bytes before the bad one decode; it sits on their last line.
-        line = len(_split_lines(data[: exc.start].decode("utf-8")))
-        raise ParseError(
-            path, line, f"invalid UTF-8: {exc.reason} at byte offset {exc.start}"
-        ) from None
     head: _Fields = {}
     blocks: list[tuple[int, _Fields]] = []
     bare: list[tuple[int, str]] = []
@@ -108,6 +127,48 @@ def _scan(
                 raise ParseError(path, number, f"duplicate field {key!r}")
             fields[key] = (number, value.lstrip())
     return head, blocks, bare
+
+
+# A plain-layout family file (see the module docstring). _PLAIN_HEAD reads
+# the ambient line, and its lookahead the blank line before the first block
+# or none. _PLAIN_BLOCK reads one block per match, with the blank line before
+# it if any, or else the rest of the text into group 4, so that one findall
+# both checks and reads the blocks. (One match over the whole file would
+# keep a backtracking frame per block: 2.2 MB for a 1,305-member family.)
+_PLAIN_HEAD = re.compile(r"ambient: ([!-~](?:[ -~]*[!-~])?)\n(?=(\n?)\[surface\]\n)")
+_PLAIN_BLOCK = re.compile(
+    r"\n?\[surface\]\ngenus: ([+-]?[0-9]+)\neuler_number: ([+-]?[0-9]+)\n"
+    r"class:(?: ([01]*))?\n|([\s\S]+)"
+)
+
+
+def _plain_family(text: str) -> tuple[_Field, list[_Member]] | None:
+    """The ambient field and members of a plain-layout family text, else None.
+
+    Returns exactly what _scan_family returns for the same text, and never
+    raises: a text in any other layout gives None.
+    """
+    head = _PLAIN_HEAD.match(text)
+    if head is None:
+        return None
+    found = _PLAIN_BLOCK.findall(text, head.end())
+    step = 4 + len(head[2])  # lines per block, the blank line included
+    # The line count fails when only some blocks have a blank line before them.
+    if found[-1][3] or text.count("\n") != 1 + step * len(found):
+        return None
+    start = 2 + len(head[2]) - step
+    members = []
+    for genus, euler, bits, _ in found:
+        start += step
+        members.append((start, (start + 1, genus), (start + 2, euler), (start + 3, bits)))
+    return (1, head[1]), members
+
+
+def _scan_family(path: str, text: str) -> tuple[_Field | None, list[_Member]]:
+    """The ambient field (None when missing) and members of a family text, by _scan."""
+    head, blocks, _ = _scan(path, text, "family", ("ambient",), "[surface]", _SURFACE_FIELDS)
+    members = [(start, *map(fields.get, _SURFACE_FIELDS)) for start, fields in blocks]
+    return head.get("ambient"), members
 
 
 def _missing(path: str, start: int, key: str, what: str) -> NoReturn:
@@ -151,10 +212,10 @@ def parse_decimal(text: str) -> int:
 
 
 def _int_field(
-    path: str, start: int, fields: _Fields, key: str, what: str
+    path: str, start: int, field: _Field | None, key: str, what: str
 ) -> tuple[int, int]:
-    """(line number, value) of a required integer field."""
-    num, raw = fields.get(key) or _missing(path, start, key, what)
+    """(line number, value) of a required integer field; None is a missing one."""
+    num, raw = field or _missing(path, start, key, what)
     try:
         return num, parse_decimal(raw)
     except _TooManyDigits as exc:
@@ -169,7 +230,7 @@ def read_vector_file(path: str) -> Gf2Collection:
     """Read one bit-string vector per line; all lines must share a length."""
     vectors: list[Gf2Vector] = []
     dim: int | None = None
-    for number, line in _scan(path, "vector", ())[2]:
+    for number, line in _scan(path, _read_text(path), "vector", ())[2]:
         try:
             vector = Gf2Vector.from_string(line)
         except ValueError as exc:
@@ -193,9 +254,11 @@ def _profile_from_fields(path: str, start: int, fields: _Fields) -> ManifoldProf
     num, name = fields.get("name") or _missing(path, start, "name", "profile")
     if not name:
         raise ParseError(path, num, "field 'name' is empty")
-    _, signature = _int_field(path, start, fields, "signature", "profile")
-    _, chi = _int_field(path, start, fields, "euler_characteristic", "profile")
-    num, b1 = _int_field(path, start, fields, "b1_f2", "profile")
+    _, signature = _int_field(path, start, fields.get("signature"), "signature", "profile")
+    _, chi = _int_field(
+        path, start, fields.get("euler_characteristic"), "euler_characteristic", "profile"
+    )
+    num, b1 = _int_field(path, start, fields.get("b1_f2"), "b1_f2", "profile")
     if b1 < 0:
         raise ParseError(path, num, f"field 'b1_f2' must be nonnegative, got {b1}")
     profile = ManifoldProfile(
@@ -210,12 +273,15 @@ def _profile_from_fields(path: str, start: int, fields: _Fields) -> ManifoldProf
 
 def read_profile_file(path: str) -> ManifoldProfile:
     """Read a single profile: the four fields, no block header."""
-    return _profile_from_fields(path, 0, _scan(path, "profile", _PROFILE_FIELDS)[0])
+    head = _scan(path, _read_text(path), "profile", _PROFILE_FIELDS)[0]
+    return _profile_from_fields(path, 0, head)
 
 
 def read_catalog_file(path: str) -> dict[str, ManifoldProfile]:
     """Read a catalog of [profile] blocks, each validated on load."""
-    _, blocks, bare = _scan(path, "catalog", (), "[profile]", _PROFILE_FIELDS)
+    _, blocks, bare = _scan(
+        path, _read_text(path), "catalog", (), "[profile]", _PROFILE_FIELDS
+    )
     if bare:
         raise ParseError(path, bare[0][0], "field outside a [profile] block")
     profiles: dict[str, ManifoldProfile] = {}
@@ -281,26 +347,31 @@ def read_family_file(
     bit string must have length equal to the ambient profile's b2_f2 (empty
     when that is zero). Returns the ambient profile, used as resolved since
     catalogs and profile files are validated when loaded, and the family.
+
+    A file in the plain layout (see the module docstring) is read by two
+    compiled patterns instead of the line scan; a file in any other layout
+    gives the same values and the same faults, only more slowly.
     """
-    head, blocks, _ = _scan(path, "family", ("ambient",), "[surface]", _SURFACE_FIELDS)
-    ambient_line, ref = head.get("ambient") or _missing(path, 0, "ambient", "family")
+    text = _read_text(path)
+    ambient_field, rows = _plain_family(text) or _scan_family(path, text)
+    ambient_line, ref = ambient_field or _missing(path, 0, "ambient", "family")
     if not ref:
         raise ParseError(path, ambient_line, "field 'ambient' is empty")
     try:
         ambient = resolve_profile(ref, catalog)
     except CatalogError as exc:
         raise ParseError(path, ambient_line, str(exc)) from None
-    if not blocks:
+    if not rows:
         raise ParseError(path, ambient_line, "family has no [surface] blocks")
 
     dim = ambient.b2_f2
     members: list[SurfaceDatum] = []
-    for start, fields in blocks:
-        num, genus = _int_field(path, start, fields, "genus", "surface")
+    for start, genus_field, euler_field, class_field in rows:
+        num, genus = _int_field(path, start, genus_field, "genus", "surface")
         if genus < 1:
             raise ParseError(path, num, f"field 'genus' must be >= 1, got {genus}")
-        _, euler = _int_field(path, start, fields, "euler_number", "surface")
-        num, raw = fields.get("class") or _missing(path, start, "class", "surface")
+        _, euler = _int_field(path, start, euler_field, "euler_number", "surface")
+        num, raw = class_field or _missing(path, start, "class", "surface")
         try:
             mod2_class = Gf2Vector.from_string(raw)
         except ValueError:

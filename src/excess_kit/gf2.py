@@ -84,7 +84,8 @@ class Gf2Vector:
         return cls(len(text), int(text[::-1], 2) if text else 0)
 
     def to01(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.dim))
+        # format() writes coordinate 0 last; reversed, it comes first.
+        return format(self.bits, f"0{self.dim}b")[::-1] if self.dim else ""
 
     @property
     def is_zero(self) -> bool:

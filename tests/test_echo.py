@@ -288,3 +288,18 @@ def test_short_bare_name_stays_bare():
 
     assert _bare("x" * 64) == "x" * 64
     assert _bare("y" * 65) == repr("y" * 64) + "... (65 characters)"
+
+
+@pytest.mark.parametrize("dim", [64, LONG])
+def test_nonzero_cover_class_is_cut(tmp_path, dim):
+    """A class of up to 64 bits is echoed whole, a longer one cut like any bit string."""
+    profile = tmp_path / "profile.txt"
+    profile.write_text(profile_text("wide", 0, dim + 2), encoding="utf-8")
+    bits = "1" * dim
+    code, out, err = invoke(
+        "cover", "--manifold", str(profile), "--genus", "1", "--euler", "2", "--class", bits
+    )
+    shown = bits if dim <= 64 else f"{bits[:64]!r}... ({dim} characters)"
+    assert code == 2 and out == ""
+    assert err == f"branch surface class {shown} is nonzero mod 2\n"
+    assert len(err.encode("utf-8")) < MAX_STDERR

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import re
+from unittest import mock
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from excess_kit import fileio
 from excess_kit.errors import CatalogError, NegativeB2, ParseError, SignatureExceedsRank
@@ -16,7 +21,8 @@ from excess_kit.fileio import (
     read_vector_file,
     resolve_profile,
 )
-from excess_kit.manifolds import validate_profile
+from excess_kit.manifolds import ManifoldProfile, validate_profile
+from test_fuzz import FUZZ
 
 
 def write(tmp_path, name: str, text: str) -> str:
@@ -476,3 +482,167 @@ class TestFaultOrder:
         with pytest.raises(ParseError) as err:
             read_profile_file(path)
         assert str(err.value) == f"{path}:2: expected 'field: value', got '[profile]'"
+
+
+# The built-in catalog and a profile with b2_f2 = 2, so classes have length 2.
+CATALOG = {**builtin_catalog(), "two": ManifoldProfile("two", 0, 4, 0)}
+
+
+def plain_family(ambient: str, members, blank: str) -> str:
+    """A family text in the plain layout; blank goes before every block, "\\n" or ""."""
+    return f"ambient: {ambient}\n" + "".join(
+        f"{blank}[surface]\ngenus: {genus}\neuler_number: {euler}\n"
+        + (f"class: {bits}\n" if bits else "class:\n")
+        for genus, euler, bits in members
+    )
+
+
+class TestPlainLayoutFaults:
+    """Value faults in both plain layouts name their own line, as in any layout."""
+
+    @pytest.fixture(
+        params=[("\n", 13), ("", 10)], ids=["blank-line-before-each-block", "no-blank-lines"]
+    )
+    def layout(self, request):
+        """The layout's blank line before each block, and block 3's header line."""
+        return request.param
+
+    def fault(self, tmp_path, layout, ambient: str, third) -> tuple[str, str]:
+        """(path, message) for a family whose third block is `third`."""
+        good = ("1", "4", "10" if ambient == "two" else "")
+        path = write(tmp_path, "f.txt", plain_family(ambient, [good, good, third], layout[0]))
+        with pytest.raises(ParseError) as err:
+            read_family_file(path, CATALOG)
+        return path, str(err.value)
+
+    def test_genus_zero_in_block_three(self, tmp_path, layout):
+        path, message = self.fault(tmp_path, layout, "s4", ("0", "4", ""))
+        assert message == f"{path}:{layout[1] + 1}: field 'genus' must be >= 1, got 0"
+
+    def test_long_euler_number(self, tmp_path, layout):
+        path, message = self.fault(tmp_path, layout, "s4", ("1", "9" * 4001, ""))
+        assert message == f"{path}:{layout[1] + 2}: field 'euler_number' has more than 4000 digits"
+
+    def test_class_of_the_wrong_length(self, tmp_path, layout):
+        path, message = self.fault(tmp_path, layout, "two", ("1", "4", "101"))
+        assert message == (
+            f"{path}:{layout[1] + 3}: field 'class' has length 3, ambient 'two' needs 2"
+        )
+
+    def test_unknown_ambient(self, tmp_path, layout):
+        path, message = self.fault(tmp_path, layout, "ghost", ("1", "4", ""))
+        assert message == (
+            f"{path}:1: profile reference 'ghost' is neither a catalog name nor an existing file"
+        )
+
+
+# Integer field values: in range or not, signed, zero, and past the digit cap.
+INTS = st.one_of(
+    st.integers(-20, 20).map(str),
+    st.integers(0, 20).map(lambda n: f"+{n}"),
+    st.sampled_from(["0", "-0", "+0", "007", "9" * 4001, "-" + "1" * 4001]),
+)
+
+
+@st.composite
+def plain_texts(draw) -> str:
+    """Plain-layout family texts, valid or with faults of value only.
+
+    Classes may have the wrong length for the ambient ("s4" needs 0 bits,
+    "two" needs 2) and the ambient may be unknown. An empty class is
+    written `class:` or, as the benchmark's generator writes it, `class: `.
+    """
+    members = draw(
+        st.lists(st.tuples(INTS, INTS, st.text("01", max_size=3)), min_size=1, max_size=4)
+    )
+    ambient = draw(st.sampled_from(["s4", "two", "ghost"]))
+    text = plain_family(ambient, members, draw(st.sampled_from(["\n", ""])))
+    if draw(st.booleans()):
+        text = text.replace("\nclass:\n", "\nclass: \n")
+    return text
+
+
+MUTATIONS = (
+    "crlf", "cr", "trailing-space", "leading-space", "tab", "comment", "non-ascii-digit",
+    "no-final-newline", "reorder", "duplicate", "two-blank-lines", "one-blocks-blank-line",
+)
+
+
+@st.composite
+def near_plain_texts(draw, kind: str) -> str:
+    """A plain text with one edit of the given kind, which leaves the plain layout."""
+    lines = draw(plain_texts()).split("\n")[:-1]
+    ends = ["\n"] * len(lines)
+    i = draw(st.integers(0, len(lines) - 1))
+    headers = [j for j, line in enumerate(lines) if line == "[surface]"]
+    block = draw(st.sampled_from(headers))
+    if kind == "crlf":
+        ends[i] = "\r\n"
+    elif kind == "cr":
+        ends[i] = "\r"
+    elif kind == "trailing-space":
+        # `class:` with a space after it is still plain.
+        lines[i] += "  " if lines[i] == "class:" else " "
+    elif kind == "leading-space":
+        lines[i] = " " + lines[i]
+    elif kind == "tab":
+        pos = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:pos] + "\t" + lines[i][pos:]
+    elif kind == "comment":
+        lines.insert(i, "# note")
+    elif kind == "non-ascii-digit":
+        j = block + draw(st.sampled_from((1, 2)))
+        lines[j] = re.sub("[0-9]", "\u0663", lines[j], count=1)
+    elif kind == "no-final-newline":
+        ends[-1] = ""
+    elif kind == "reorder":
+        j, k = draw(st.sampled_from([(1, 2), (1, 3), (2, 3)]))
+        lines[block + j], lines[block + k] = lines[block + k], lines[block + j]
+    elif kind == "duplicate":
+        j = draw(st.sampled_from([0, block + 1, block + 2, block + 3]))
+        lines.insert(j, lines[j])
+    elif kind == "one-blocks-blank-line" and block != headers[0]:
+        if lines[block - 1]:
+            lines.insert(block, "")
+        else:
+            del lines[block - 1]
+    else:
+        lines[block:block] = ["", ""]
+    ends += ["\n"] * (len(lines) - len(ends))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def family_outcome(path: str):
+    """read_family_file's (ambient, family), or the type and text of its fault."""
+    try:
+        return read_family_file(path, CATALOG)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+class TestPlainLayout:
+    """The plain-layout fast path gives the line scan's fields, or nothing."""
+
+    @FUZZ
+    @given(text=plain_texts())
+    def test_plain_text_gives_the_scan_fields(self, text):
+        assert fileio._plain_family(text) == fileio._scan_family("f.txt", text)
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    @FUZZ
+    @given(data=st.data())
+    def test_near_plain_text_is_left_to_the_scan(self, kind, data):
+        assert fileio._plain_family(data.draw(near_plain_texts(kind))) is None
+
+    @pytest.mark.parametrize("kind", ("plain",) + MUTATIONS)
+    @FUZZ
+    @given(data=st.data())
+    def test_values_and_faults_do_not_depend_on_the_fast_path(
+        self, tmp_path_factory, kind, data
+    ):
+        text = data.draw(plain_texts() if kind == "plain" else near_plain_texts(kind))
+        path = tmp_path_factory.mktemp("plain") / "f.txt"
+        path.write_bytes(text.encode("utf-8"))
+        fast = family_outcome(str(path))
+        with mock.patch.object(fileio, "_plain_family", lambda text: None):
+            assert family_outcome(str(path)) == fast
