@@ -3,13 +3,15 @@
 Exit codes: 0 when the requested check passes (or the command is purely
 informational), 1 when a check returns Obstructed, 2 on hypothesis failure
 or any input/usage error, 3 on an internal error (an unexpected exception,
-reported as one stderr line). The code depends only on the verdict or
-error class, never on the output format.
+reported as one stderr line), 141 (128 + SIGPIPE) when stdout is closed
+before the output is written, with nothing on stderr. The code depends only
+on the verdict or error class, never on the output format.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Any, Callable, NoReturn
 
@@ -255,13 +257,43 @@ def _cut_argv(message: str, argv: list[str]) -> str:
     return message
 
 
+# The status a shell reports for a process killed by SIGPIPE (signal 13).
+_CLOSED_STDOUT_EXIT = 128 + 13
+
+
+def _closed_stdout() -> int:
+    """The exit code for a closed stdout, after pointing stdout's fd at os.devnull.
+
+    What is left in stdout's buffer would fail again at shutdown; written to
+    os.devnull it does not. A stdout without a real fd is left as it is.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return _CLOSED_STDOUT_EXIT
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+    return _CLOSED_STDOUT_EXIT
+
+
+def _dispatch(argv: list[str]) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:
+        return 0  # --help; argparse's errors raise _UsageError instead
+    return args.handler(args)
+
+
 def run(argv: list[str]) -> int:
     """Parse arguments, dispatch, and map errors to exit codes."""
     try:
-        args = build_parser().parse_args(argv)
-        return args.handler(args)
-    except SystemExit:
-        return 0  # --help; argparse's errors raise _UsageError instead
+        code = _dispatch(argv)
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()  # a closed stdout shows here when stdout is buffered
+        return code
+    except BrokenPipeError:  # only stdout is a pipe the package writes to
+        return _closed_stdout()
     except (_UsageError, OSError) as exc:
         print(_cut_argv(str(exc), argv), file=sys.stderr)
         return 2

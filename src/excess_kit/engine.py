@@ -114,8 +114,8 @@ class _TraceBuilder:
         self.steps: list[TraceStep] = []
 
     def add(self, label: str, lhs: int, rel: str, rhs: int, anchor: str) -> TraceStep:
-        step = TraceStep(label=label, lhs=lhs, rel=rel, rhs=rhs, anchor=anchor)
-        if not step.holds():
+        step = TraceStep(label, lhs, rel, rhs, anchor)  # refuses an unknown relation
+        if not _RELATIONS[rel](lhs, rhs):
             raise AssertionError(f"untrue step {label}: {lhs} {rel} {rhs}")
         self.steps.append(step)
         return step
@@ -230,7 +230,7 @@ def excess_check(m: ManifoldProfile, family: SurfaceFamily) -> ObstructionReport
     tubed, hyp = _tube_and_check(m, family)
     g_f = tubed.genus
     e_f = tubed.euler_number
-    sum_abs_e = sum(abs(e) for e in family.euler_numbers())
+    sum_abs_e = sum(map(abs, family.euler_numbers()))
     lhs = sum_abs_e - 2 * g_f
 
     tb = _TraceBuilder()

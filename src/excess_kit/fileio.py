@@ -20,13 +20,19 @@ ends and no comments, an `ambient: <ref>` line, then `[surface]` blocks of
 and the bits) in that order, each block after one blank line or none (the
 same for every block), with no other whitespace around a line. One
 compiled match reads the ambient line and one `findall` checks and reads
-every block, with line numbers from the block's position; any other family
-file goes through `_scan`. Both give the same fields to one loop that builds
-the values, so the values and faults of a family do not depend on its layout.
+every block; any other family file goes through `_scan`. The patterns have
+checked the form of each integer and class, so plain rows are checked once
+more, for their values only (the digit cap, int(), genus >= 1 and the class
+length), and become members directly, one class vector per distinct class
+text. When a value may be at fault, the rows, with line numbers from each
+block's position, go to the one checked loop that builds the members of
+every other file and raises the fault, so the values and faults of a family
+do not depend on its layout.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import sys
@@ -59,6 +65,9 @@ _Fields = dict[str, _Field]
 # One [surface] block: its header line number and its genus, euler_number and
 # class fields, each (line number, value) or None when missing.
 _Member = tuple[int, _Field | None, _Field | None, _Field | None]
+# One plain-layout block as _PLAIN_BLOCK's findall gives it: the genus,
+# euler_number and class texts, then an empty group.
+_Block = tuple[str, str, str, str]
 
 
 def _split_lines(text: str) -> list[str]:
@@ -142,26 +151,32 @@ _PLAIN_BLOCK = re.compile(
 )
 
 
-def _plain_family(text: str) -> tuple[_Field, list[_Member]] | None:
-    """The ambient field and members of a plain-layout family text, else None.
+def _plain_family(text: str) -> tuple[_Field, list[_Block], int] | None:
+    """The ambient field, blocks and blank line count of a plain-layout family text.
 
-    Returns exactly what _scan_family returns for the same text, and never
-    raises: a text in any other layout gives None.
+    Each block is its genus, euler_number and class texts (and an empty
+    fourth group); the count is 1 when a blank line goes before every block
+    and 0 when none does. Never raises: a text in any other layout gives None.
     """
     head = _PLAIN_HEAD.match(text)
     if head is None:
         return None
-    found = _PLAIN_BLOCK.findall(text, head.end())
-    step = 4 + len(head[2])  # lines per block, the blank line included
+    blocks = _PLAIN_BLOCK.findall(text, head.end())
+    blank = len(head[2])
     # The line count fails when only some blocks have a blank line before them.
-    if found[-1][3] or text.count("\n") != 1 + step * len(found):
+    if blocks[-1][3] or text.count("\n") != 1 + (4 + blank) * len(blocks):
         return None
-    start = 2 + len(head[2]) - step
-    members = []
-    for genus, euler, bits, _ in found:
-        start += step
-        members.append((start, (start + 1, genus), (start + 2, euler), (start + 3, bits)))
-    return (1, head[1]), members
+    return (1, head[1]), blocks, blank
+
+
+def _plain_rows(blocks: list[_Block], blank: int) -> list[_Member]:
+    """Exactly the members _scan_family returns for the text of plain blocks."""
+    # The first header is on line 2 + blank, and a block takes 4 + blank lines.
+    starts = itertools.count(2 + blank, 4 + blank)
+    return [
+        (start, (start + 1, genus), (start + 2, euler), (start + 3, bits))
+        for start, (genus, euler, bits, _) in zip(starts, blocks)
+    ]
 
 
 def _scan_family(path: str, text: str) -> tuple[_Field | None, list[_Member]]:
@@ -353,7 +368,9 @@ def read_family_file(
     gives the same values and the same faults, only more slowly.
     """
     text = _read_text(path)
-    ambient_field, rows = _plain_family(text) or _scan_family(path, text)
+    plain = _plain_family(text)
+    # A plain file's rows are its blocks, until a fault needs their lines.
+    ambient_field, rows = _scan_family(path, text) if plain is None else plain[:2]
     ambient_line, ref = ambient_field or _missing(path, 0, "ambient", "family")
     if not ref:
         raise ParseError(path, ambient_line, "field 'ambient' is empty")
@@ -364,6 +381,52 @@ def read_family_file(
     if not rows:
         raise ParseError(path, ambient_line, "family has no [surface] blocks")
 
+    dim = ambient.b2_f2
+    members = None if plain is None else _plain_members(rows, dim)
+    if members is None:
+        if plain is not None:
+            rows = _plain_rows(rows, plain[2])
+        members = _checked_members(path, ambient, rows)
+    family = SurfaceFamily(ambient_dim=dim, members=tuple(members))
+    return ambient, family
+
+
+def _plain_members(blocks: list[_Block], dim: int) -> list[SurfaceDatum] | None:
+    """The members of plain-layout blocks, or None when any value may be at fault.
+
+    _PLAIN_BLOCK has matched each integer to `[+-]?[0-9]+` and each class to
+    `[01]*`, so only the value rules are left, and each is checked here
+    once: the digit cap (by length, so a signed 4000-digit value is left to
+    the checked loop too), int() under the interpreter's conversion limit,
+    genus >= 1 and the class length. The values are built by the checked
+    constructors, one class vector per distinct class text. Never raises:
+    on None the checked loop reads the same blocks and raises the fault, so
+    every message comes from that one loop.
+    """
+    classes: dict[str, Gf2Vector] = {}
+    members = []
+    for genus, euler, bits, _ in blocks:
+        if len(genus) > _MAX_DIGITS or len(euler) > _MAX_DIGITS:
+            return None
+        try:
+            genus_value, euler_value = int(genus), int(euler)
+        except ValueError:  # past the interpreter's limit, when set below the cap
+            return None
+        if genus_value < 1:
+            return None
+        mod2_class = classes.get(bits)
+        if mod2_class is None:
+            if len(bits) != dim:
+                return None
+            mod2_class = classes[bits] = Gf2Vector(dim, int(bits[::-1] or "0", 2))
+        members.append(SurfaceDatum(genus_value, euler_value, mod2_class))
+    return members
+
+
+def _checked_members(
+    path: str, ambient: ManifoldProfile, rows: list[_Member]
+) -> list[SurfaceDatum]:
+    """The members of rows from any layout, each field checked and faults raised in order."""
     dim = ambient.b2_f2
     members: list[SurfaceDatum] = []
     for start, genus_field, euler_field, class_field in rows:
@@ -386,5 +449,4 @@ def read_family_file(
                 f"{_quote(ambient.name)} needs {dim}",
             )
         members.append(SurfaceDatum(genus, euler, mod2_class))
-    family = SurfaceFamily(ambient_dim=dim, members=tuple(members))
-    return ambient, family
+    return members

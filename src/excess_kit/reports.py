@@ -6,7 +6,9 @@ serialization (sorted keys, fixed separators) makes equal documents
 byte-identical, which the determinism checks rely on. canonical_json writes
 the bytes itself, in the same layout as json.dumps(sort_keys=True, indent=2,
 ensure_ascii=True); a float, NaN, infinity or non-str key anywhere raises
-TypeError.
+TypeError. Inside a dict or a list, a value whose type is exactly str or int
+is written inline; every other value (bools, None, subclasses of str or int
+such as an IntEnum, containers) goes through the general writer.
 
 A document's keys are its result type's fields, taken with vars(); only
 the values JSON cannot take as they are (enums, tuples, nested reports,
@@ -69,8 +71,15 @@ def _write(value: Any, indent: str, out: list[str]) -> None:
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"{type(key).__name__} key in document — keys must be str")
-            out.append(head + _quote(key) + ": ")
-            _write(value[key], inner, out)
+            item = value[key]
+            kind = type(item)
+            if kind is str:
+                out.append(head + _quote(key) + ": " + _quote(item))
+            elif kind is int:
+                out.append(head + _quote(key) + ": " + int.__repr__(item))
+            else:
+                out.append(head + _quote(key) + ": ")
+                _write(item, inner, out)
             head = "," + inner
         out.append(indent + "}")
     elif isinstance(value, (list, tuple)):
@@ -80,8 +89,14 @@ def _write(value: Any, indent: str, out: list[str]) -> None:
         inner = indent + "  "
         head = "[" + inner
         for item in value:
-            out.append(head)
-            _write(item, inner, out)
+            kind = type(item)
+            if kind is str:
+                out.append(head + _quote(item))
+            elif kind is int:
+                out.append(head + int.__repr__(item))
+            else:
+                out.append(head)
+                _write(item, inner, out)
             head = "," + inner
         out.append(indent + "]")
     else:

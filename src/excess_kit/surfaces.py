@@ -4,12 +4,16 @@ A surface is carried by three numbers: its nonorientable genus g (so its
 Euler characteristic is 2 - g), its twisted normal Euler number e, and its
 mod-2 homology class as a bit vector. Tubing (ambient connected sum along
 arcs) acts on these by plain addition and XOR; no geometry is represented.
+`tube` takes the genus sum, the Euler sum and the class XOR in one pass over
+the members, and `sign_class` reads the sign pattern off the least and the
+greatest Euler number.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import DimensionMismatch, EmptyFamily, InvalidGenus
 from .gf2 import Gf2Vector
@@ -73,7 +77,7 @@ class SurfaceFamily:
         return len(self.members)
 
     def euler_numbers(self) -> tuple[int, ...]:
-        return tuple(s.euler_number for s in self.members)
+        return tuple(map(attrgetter("euler_number"), self.members))
 
 
 @dataclass(frozen=True)
@@ -112,13 +116,14 @@ def tube(family: SurfaceFamily) -> TubedSurface:
     drops the Euler characteristic by 2, which leaves the closed form
     2 - total genus.
     """
-    total_genus = sum(s.genus for s in family.members)
-    bits = 0
+    total_genus = total_euler = bits = 0
     for s in family.members:
+        total_genus += s.genus
+        total_euler += s.euler_number
         bits ^= s.mod2_class.bits
     return TubedSurface(
         genus=total_genus,
-        euler_number=sum(family.euler_numbers()),
+        euler_number=total_euler,
         euler_characteristic=2 - total_genus,
         mod2_class=Gf2Vector(family.ambient_dim, bits),
     )
@@ -131,9 +136,9 @@ def sign_class(family: SurfaceFamily) -> SignClass:
     excess check records that no-cancellation identity in its trace.
     """
     es = family.euler_numbers()
-    if all(e >= 0 for e in es):
+    if min(es) >= 0:
         return SignClass.NON_NEGATIVE
-    if all(e <= 0 for e in es):
+    if max(es) <= 0:
         return SignClass.NON_POSITIVE
     return SignClass.MIXED
 

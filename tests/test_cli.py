@@ -5,11 +5,16 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+from excess_kit import cli
 from excess_kit.cli import run
+from excess_kit.fileio import CATALOG_ENV_VAR
 from excess_kit.reports import canonical_json
 
 S4_FAMILY_G2_E8 = "ambient: s4\n[surface]\ngenus: 2\neuler_number: 8\nclass:\n"
@@ -342,3 +347,32 @@ def test_invalid_profile_file_message_is_located(tmp_path, capsys):
     code, out, err = invoke(capsys, "bound", "--manifold", str(profile))
     assert code == 2 and out == ""
     assert err.startswith(f"{profile}:1: x: b2_f2 = ")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["check-obstructed", "massey"])
+def test_a_closed_stdout_exits_141_and_writes_no_stderr(tmp_path, command, buffered):
+    # The reader is gone before the first write: exit 2 would claim bad
+    # input and drop an Obstructed verdict's exit 1 without a word.
+    family = family_file(tmp_path, S4_FAMILY_G2_E8)
+    argv = {
+        "check-obstructed": ["check", "--manifold", "s4", "--family", family, "--format", "json"],
+        "massey": ["massey", "--genus", "3"],
+    }[command]
+    env = {k: v for k, v in os.environ.items() if k not in (CATALOG_ENV_VAR, "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "excess_kit.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from unittest import mock
 
 import pytest
@@ -626,7 +627,9 @@ class TestPlainLayout:
     @FUZZ
     @given(text=plain_texts())
     def test_plain_text_gives_the_scan_fields(self, text):
-        assert fileio._plain_family(text) == fileio._scan_family("f.txt", text)
+        ambient, blocks, blank = fileio._plain_family(text)
+        rows = fileio._plain_rows(blocks, blank)
+        assert (ambient, rows) == fileio._scan_family("f.txt", text)
 
     @pytest.mark.parametrize("kind", MUTATIONS)
     @FUZZ
@@ -646,3 +649,67 @@ class TestPlainLayout:
         fast = family_outcome(str(path))
         with mock.patch.object(fileio, "_plain_family", lambda text: None):
             assert family_outcome(str(path)) == fast
+
+
+def checked_outcome(path: str):
+    """family_outcome(path), which must equal the outcome of the checked loop alone."""
+    outcome = family_outcome(path)
+    with mock.patch.object(fileio, "_plain_members", lambda blocks, dim: None):
+        assert family_outcome(path) == outcome
+    return outcome
+
+
+class TestPlainValues:
+    """The plain value step gives the checked loop's members, or leaves the fault to it."""
+
+    @pytest.fixture(params=["\n", ""], ids=["blank-line-before-each-block", "no-blank-lines"])
+    def blank(self, request):
+        return request.param
+
+    @FUZZ
+    @given(text=plain_texts())
+    def test_values_and_faults_do_not_depend_on_the_value_step(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("plain") / "f.txt"
+        path.write_bytes(text.encode("utf-8"))
+        checked_outcome(str(path))
+
+    @pytest.mark.parametrize(
+        "euler",
+        ["-" + "7" * 4000, "+" + "7" * 4000, "7" * 4001, "-" + "7" * 4001],
+        ids=["minus-4000-digits", "plus-4000-digits", "4001-digits", "minus-4001-digits"],
+    )
+    def test_euler_numbers_at_and_one_past_the_cap(self, tmp_path, blank, euler):
+        path = write(tmp_path, "f.txt", plain_family("s4", [("1", "4", ""), ("2", euler, "")], blank))
+        outcome = checked_outcome(path)
+        if len(euler.lstrip("+-")) <= 4000:
+            assert outcome[1].euler_numbers() == (4, int(euler))
+        else:
+            line = 10 if blank else 8  # block 2's euler_number
+            assert outcome == (
+                ParseError, f"{path}:{line}: field 'euler_number' has more than 4000 digits"
+            )
+
+    def test_a_value_past_a_lowered_interpreter_limit_names_that_limit(self, tmp_path, blank):
+        path = write(
+            tmp_path, "f.txt", plain_family("s4", [("1", "4", ""), ("1", "3" * 700, "")], blank)
+        )
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            outcome = checked_outcome(path)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        line = 10 if blank else 8  # block 2's euler_number
+        assert outcome == (
+            ParseError,
+            f"{path}:{line}: field 'euler_number' has more than 640 digits, "
+            "the interpreter's integer conversion limit",
+        )
+
+    def test_a_repeated_class_text_gives_the_checked_members(self, tmp_path, blank):
+        rows = [("1", "4", "10"), ("2", "-3", "01"), ("3", "5", "10"), ("1", "0", "10")]
+        path = write(tmp_path, "f.txt", plain_family("two", rows, blank))
+        _, family = checked_outcome(path)
+        assert [(s.genus, s.euler_number, s.mod2_class.to01()) for s in family.members] == [
+            (1, 4, "10"), (2, -3, "01"), (3, 5, "10"), (1, 0, "10"),
+        ]

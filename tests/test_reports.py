@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import enum
 import json
 import math
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -32,19 +34,51 @@ TEXT = st.text(
     ),
     max_size=8,
 )
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = -7
+    ZERO = 0
+    HIGH = 12
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+# The writer inlines values whose type is exactly str or int; subclasses of
+# either, an IntEnum and bools (an int subclass too) take the general path.
 LEAVES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
     st.integers(-(10**3999), 10**3999),
     TEXT,
+    TEXT.map(_Str),
+    st.integers().map(_Int),
+    st.sampled_from(_Level),
 )
 TREES = st.recursive(
     LEAVES,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(_List),
         st.dictionaries(TEXT, children, max_size=4),
+        st.dictionaries(TEXT, children, max_size=4).map(_Dict),
+        st.dictionaries(TEXT.map(_Str), children, max_size=4).map(OrderedDict),
     ),
     max_leaves=12,
 )

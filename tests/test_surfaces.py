@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from excess_kit.errors import DimensionMismatch, EmptyFamily, InvalidGenus
 from excess_kit.gf2 import Gf2Vector
@@ -19,6 +23,7 @@ from excess_kit.surfaces import (
     sign_class,
     tube,
 )
+from test_fuzz import FUZZ
 
 
 def datum(g: int, e: int, bits: str = "") -> SurfaceDatum:
@@ -191,3 +196,56 @@ def test_genus_zero_message_is_shared(build):
     with pytest.raises(InvalidGenus) as err:
         build()
     assert str(err.value) == "nonorientable genus must be >= 1, got 0"
+
+
+# Euler numbers of every sign, zero often, and up to the 4000-digit cap.
+EULERS = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-50, 50),
+    st.integers(-(10**4000) + 1, 10**4000 - 1),
+)
+
+
+@st.composite
+def families(draw) -> SurfaceFamily:
+    """Families of up to 8 members, a third of them kept to each sign side."""
+    dim = draw(st.integers(0, 70))
+    side = draw(st.sampled_from([1, -1, None]))
+    members = []
+    for _ in range(draw(st.integers(1, 8))):
+        e = draw(EULERS)
+        bits = draw(st.integers(0, 2**dim - 1))
+        members.append(
+            SurfaceDatum(
+                genus=draw(st.integers(1, 10**6)),
+                euler_number=e if side is None else side * abs(e),
+                mod2_class=Gf2Vector(dim, bits),
+            )
+        )
+    return SurfaceFamily(ambient_dim=dim, members=tuple(members))
+
+
+@FUZZ
+@given(fam=families())
+def test_tube_is_the_sum_of_its_members(fam):
+    genus = sum(s.genus for s in fam.members)
+    bits = functools.reduce(operator.xor, (s.mod2_class.bits for s in fam.members))
+    assert tube(fam) == TubedSurface(
+        genus=genus,
+        euler_number=sum(s.euler_number for s in fam.members),
+        euler_characteristic=2 - genus,
+        mod2_class=Gf2Vector(fam.ambient_dim, bits),
+    )
+
+
+@FUZZ
+@given(fam=families())
+def test_sign_class_is_its_definition(fam):
+    es = [s.euler_number for s in fam.members]
+    if all(e >= 0 for e in es):
+        expected = SignClass.NON_NEGATIVE
+    elif all(e <= 0 for e in es):
+        expected = SignClass.NON_POSITIVE
+    else:
+        expected = SignClass.MIXED
+    assert sign_class(fam) is expected
