@@ -8,6 +8,13 @@ Signatures of double covers can be half-integers away from integrality
 (sigma(N) = 2*sigma(M) - e/2), so the chain is recorded in doubled form
 (T = 4*sigma(M) - e = 2*sigma(N)) to stay in exact integers for every e;
 the familiar single forms are recorded alongside whenever e is even.
+
+A TraceStep is built for every recorded step, so its constructor is
+written out: it refuses an unknown relation, then stores each field with
+one write into the instance dict, with no __post_init__. The trace builder
+then refuses a step whose relation is false. excess_check builds the
+family's Euler tuple once and reads both the sign hypothesis and the sum
+of |e| from it.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .gf2 import (
     zero_sum_subcollection,
 )
 from .manifolds import ManifoldProfile, _require_dim, budget_report, excess_budget
-from .surfaces import SignClass, SurfaceFamily, TubedSurface, sign_class, tube
+from .surfaces import SignClass, SurfaceFamily, TubedSurface, _sign_of, tube
 
 __all__ = [
     "Verdict",
@@ -68,12 +75,14 @@ _RELATIONS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TraceStep:
     """One recorded comparison: label, two integers, their relation, anchor.
 
     The anchor names the arithmetic fact the step instantiates, so a step is
-    meaningful on its own.
+    meaningful on its own. The constructor refuses an unknown relation, then
+    stores each field with one write into the instance dict; eq, hash, repr
+    and the frozen guard are the dataclass's own.
     """
 
     label: str
@@ -82,9 +91,15 @@ class TraceStep:
     rhs: int
     anchor: str
 
-    def __post_init__(self):
-        if self.rel not in _RELATIONS:
-            raise ValueError(f"unknown relation {self.rel!r}")
+    def __init__(self, label: str, lhs: int, rel: str, rhs: int, anchor: str):
+        if rel not in _RELATIONS:
+            raise ValueError(f"unknown relation {rel!r}")
+        fields = self.__dict__
+        fields["label"] = label
+        fields["lhs"] = lhs
+        fields["rel"] = rel
+        fields["rhs"] = rhs
+        fields["anchor"] = anchor
 
     def holds(self) -> bool:
         return _RELATIONS[self.rel](self.lhs, self.rhs)
@@ -201,17 +216,22 @@ class PlaneAuditReport:
 
 
 def _tube_and_check(
-    m: ManifoldProfile, family: SurfaceFamily
+    m: ManifoldProfile, family: SurfaceFamily, euler_numbers: tuple[int, ...]
 ) -> tuple[TubedSurface, HypothesisRecord]:
-    """Tube the family once; the class-sum hypothesis reads the tubed class."""
+    """Tube the family once; the class-sum hypothesis reads the tubed class.
+
+    The sign hypothesis reads euler_numbers, the family's Euler tuple, which
+    the caller builds once.
+    """
     _require_dim(m, family.ambient_dim, "family classes live in")
     tubed = tube(family)
-    return tubed, HypothesisRecord(sign=sign_class(family), class_sum=tubed.mod2_class)
+    sign = _sign_of(euler_numbers)
+    return tubed, HypothesisRecord(sign=sign, class_sum=tubed.mod2_class)
 
 
 def check_hypotheses(m: ManifoldProfile, family: SurfaceFamily) -> HypothesisRecord:
     """Evaluate the same-sign and zero-class-sum hypotheses."""
-    return _tube_and_check(m, family)[1]
+    return _tube_and_check(m, family, family.euler_numbers())[1]
 
 
 def excess_check(m: ManifoldProfile, family: SurfaceFamily) -> ObstructionReport:
@@ -227,10 +247,11 @@ def excess_check(m: ManifoldProfile, family: SurfaceFamily) -> ObstructionReport
     verdict is HypothesisFailure naming the failing hypothesis.
     """
     rhs = excess_budget(m)
-    tubed, hyp = _tube_and_check(m, family)
+    euler_numbers = family.euler_numbers()
+    tubed, hyp = _tube_and_check(m, family, euler_numbers)
     g_f = tubed.genus
     e_f = tubed.euler_number
-    sum_abs_e = sum(map(abs, family.euler_numbers()))
+    sum_abs_e = sum(map(abs, euler_numbers))
     lhs = sum_abs_e - 2 * g_f
 
     tb = _TraceBuilder()

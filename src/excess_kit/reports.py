@@ -10,6 +10,15 @@ TypeError. Inside a dict or a list, a value whose type is exactly str or int
 is written inline; every other value (bools, None, subclasses of str or int
 such as an IntEnum, containers) goes through the general writer.
 
+A dict's key types are checked before its keys are sorted, so a non-str
+key is reported as such even beside str keys. Inside one list or tuple, an
+item whose type is exactly dict and whose key set equals that of the last
+such item whose keys were sorted reuses that item's sorted keys and quoted
+key text; any other item sorts and quotes its own. Nothing is kept past the
+list. Dict subclasses never share keys: one may redefine keys(), so only
+their own iteration is trusted. Key sets compare by hash and ==, so a key
+counts as the str key it equals.
+
 A document's keys are its result type's fields, taken with vars(); only
 the values JSON cannot take as they are (enums, tuples, nested reports,
 bit vectors) are rewritten. The budget and certificate documents are
@@ -66,34 +75,27 @@ def _write(value: Any, indent: str, out: list[str]) -> None:
         if not value:
             out.append("{}")
             return
-        inner = indent + "  "
-        head = "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"{type(key).__name__} key in document — keys must be str")
-            item = value[key]
-            kind = type(item)
-            if kind is str:
-                out.append(head + _quote(key) + ": " + _quote(item))
-            elif kind is int:
-                out.append(head + _quote(key) + ": " + int.__repr__(item))
-            else:
-                out.append(head + _quote(key) + ": ")
-                _write(item, inner, out)
-            head = "," + inner
-        out.append(indent + "}")
+        keys, heads = _key_heads(value, indent)
+        _write_fields(value, keys, heads, indent, out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
         inner = indent + "  "
         head = "[" + inner
+        shape = None  # key view of the last plain dict item whose keys were sorted
         for item in value:
             kind = type(item)
             if kind is str:
                 out.append(head + _quote(item))
             elif kind is int:
                 out.append(head + int.__repr__(item))
+            elif kind is dict and item:
+                out.append(head)
+                if shape is None or item.keys() != shape:
+                    shape = item.keys()
+                    keys, heads = _key_heads(item, inner)
+                _write_fields(item, keys, heads, inner, out)
             else:
                 out.append(head)
                 _write(item, inner, out)
@@ -101,6 +103,36 @@ def _write(value: Any, indent: str, out: list[str]) -> None:
         out.append(indent + "]")
     else:
         raise TypeError(f"{type(value).__name__} in document — documents must be exact")
+
+
+def _key_heads(value: dict, indent: str) -> tuple[list[str], list[str]]:
+    """A nonempty dict's keys in sorted order, each with the text written before its value."""
+    for key in value:
+        if not isinstance(key, str):
+            raise TypeError(f"{type(key).__name__} key in document — keys must be str")
+    keys = sorted(value)
+    inner = indent + "  "
+    heads = ["," + inner + _quote(key) + ": " for key in keys]
+    heads[0] = "{" + heads[0][1:]
+    return keys, heads
+
+
+def _write_fields(
+    value: dict, keys: list[str], heads: list[str], indent: str, out: list[str]
+) -> None:
+    """Append value's JSON to out, its keys and their heads given by _key_heads."""
+    inner = indent + "  "
+    for key, head in zip(keys, heads):
+        item = value[key]
+        kind = type(item)
+        if kind is str:
+            out.append(head + _quote(item))
+        elif kind is int:
+            out.append(head + int.__repr__(item))
+        else:
+            out.append(head)
+            _write(item, inner, out)
+    out.append(indent + "}")
 
 
 def _trace_document(trace: ProofTrace) -> list[dict[str, Any]]:

@@ -6,7 +6,14 @@ mod-2 homology class as a bit vector. Tubing (ambient connected sum along
 arcs) acts on these by plain addition and XOR; no geometry is represented.
 `tube` takes the genus sum, the Euler sum and the class XOR in one pass over
 the members, and `sign_class` reads the sign pattern off the least and the
-greatest Euler number.
+greatest Euler number; the excess check passes the Euler tuple it already
+holds to the same rule, `_sign_of`, so it builds that tuple once.
+
+SurfaceDatum is built once per family member, so its constructor is written
+out: it applies the genus rule (`_require_genus`, the one place its message
+lives) and stores each field with one write into the instance dict, with no
+__post_init__. SurfaceFamily checks each member's class dimension, and
+TubedSurface its genus and Euler characteristic, in their __post_init__.
 """
 
 from __future__ import annotations
@@ -36,16 +43,26 @@ def _require_genus(genus: int) -> None:
         raise InvalidGenus(f"nonorientable genus must be >= 1, got {genus}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SurfaceDatum:
-    """One nonorientable surface: genus, twisted normal Euler number, class."""
+    """One nonorientable surface: genus, twisted normal Euler number, class.
+
+    The constructor applies the genus rule, then stores each field with one
+    write into the instance dict; eq, hash, repr and the frozen guard are
+    the dataclass's own.
+    """
 
     genus: int
     euler_number: int
     mod2_class: Gf2Vector
 
-    def __post_init__(self):
-        _require_genus(self.genus)
+    def __init__(self, genus: int, euler_number: int, mod2_class: Gf2Vector):
+        if genus < 1:
+            _require_genus(genus)
+        fields = self.__dict__
+        fields["genus"] = genus
+        fields["euler_number"] = euler_number
+        fields["mod2_class"] = mod2_class
 
     @property
     def euler_characteristic(self) -> int:
@@ -135,10 +152,14 @@ def sign_class(family: SurfaceFamily) -> SignClass:
     Whenever the result is not Mixed, |sum of e| equals sum of |e|; the
     excess check records that no-cancellation identity in its trace.
     """
-    es = family.euler_numbers()
-    if min(es) >= 0:
+    return _sign_of(family.euler_numbers())
+
+
+def _sign_of(euler_numbers: tuple[int, ...]) -> SignClass:
+    """sign_class of a family whose Euler numbers the caller already holds."""
+    if min(euler_numbers) >= 0:
         return SignClass.NON_NEGATIVE
-    if max(es) <= 0:
+    if max(euler_numbers) <= 0:
         return SignClass.NON_POSITIVE
     return SignClass.MIXED
 

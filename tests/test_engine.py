@@ -214,6 +214,19 @@ class TestExcessCheck:
         with pytest.raises(ValueError, match="unknown relation '<'"):
             TraceStep("x", 1, "<", 2, "anchor")
 
+    @pytest.mark.parametrize("es", [(2, 6), (2, -6), (-2, 6)])
+    def test_euler_tuple_built_once_per_check(self, es, monkeypatch):
+        calls = []
+        built = SurfaceFamily.euler_numbers
+
+        def counted(family):
+            calls.append(family)
+            return built(family)
+
+        monkeypatch.setattr(SurfaceFamily, "euler_numbers", counted)
+        excess_check(S4, fam(*(datum(1, e) for e in es)))
+        assert len(calls) == 1
+
 
 class TestPlaneFamilyAudit:
     def test_single_plane_on_sphere(self):

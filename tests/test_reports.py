@@ -148,8 +148,93 @@ def test_canonical_json_rejects_a_float_at_any_depth(holder, data):
 )
 def test_canonical_json_rejects_a_non_str_key(key, data):
     holder = data.draw(st.dictionaries(TEXT, TREES, max_size=2)) | {key: data.draw(TREES)}
-    with pytest.raises(TypeError, match=type(key).__name__):
+    message = f"^{type(key).__name__} key in document — keys must be str$"
+    with pytest.raises(TypeError, match=message):
         canonical_json(data.draw(buried(st.just(holder), 0, 4)))
+
+
+def test_key_types_are_checked_before_the_sort():
+    # A sort of mixed keys would raise its own "'<' not supported" first.
+    with pytest.raises(TypeError, match="^int key in document — keys must be str$"):
+        canonical_json({"a": 1, 2: 3})
+    with pytest.raises(TypeError, match="^NoneType key in document — keys must be str$"):
+        canonical_json([{"a": 1}, {None: 0, 1: 0}])
+
+
+class _Masked(dict):
+    """A dict subclass whose keys() names another dict's keys; its items are its own.
+
+    json.dumps reads items(), so only a writer that trusted keys() of a dict
+    subclass would write this one wrong.
+    """
+
+    def __init__(self, items, shown):
+        super().__init__(items)
+        self.shown = shown
+
+    def keys(self):
+        return self.shown.keys()
+
+
+VALUES = st.one_of(LEAVES, TREES)
+
+
+@st.composite
+def same_keyed(draw, values=VALUES):
+    """Two to five plain dicts with one key set, each in its own insertion order."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(2, 5))):
+        items = [(key, draw(values)) for key in keys]
+        rows.append(dict(draw(st.permutations(items))))
+    return keys, rows
+
+
+@st.composite
+def same_keyed_lists(draw):
+    """Same-keyed dicts with, maybe, one interloper between two of them.
+
+    The interloper is a dict subclass with the same keys, a _Masked subclass
+    whose keys() claims the shared keys, or a plain dict with one key
+    swapped for another, so that it has the same length but a new key set.
+    """
+    keys, rows = draw(same_keyed())
+    kind = draw(st.sampled_from(["none", "subclass", "ordered", "masked", "swapped"]))
+    if kind != "none":
+        row = draw(st.sampled_from(rows))
+        other = draw(TEXT.filter(lambda key: key not in keys))
+        swapped = {other if key == keys[0] else key: value for key, value in row.items()}
+        interloper = {
+            "subclass": lambda: _Dict(row),
+            "ordered": lambda: OrderedDict(row),
+            "masked": lambda: _Masked(swapped, row),
+            "swapped": lambda: swapped,
+        }[kind]()
+        rows.insert(draw(st.integers(1, len(rows) - 1)), interloper)
+    return draw(st.sampled_from([list, tuple, _List]))(rows)
+
+
+@FUZZ
+@given(doc=buried(same_keyed_lists(), 0, 3))
+def test_same_keyed_dicts_match_json_dumps(doc):
+    assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)
+
+
+@FUZZ
+@given(data=st.data())
+def test_same_keyed_dicts_reject_a_later_float_or_non_str_key(data):
+    keys, rows = data.draw(same_keyed())
+    at = data.draw(st.integers(1, len(rows) - 1))
+    key = data.draw(st.sampled_from(keys))
+    if data.draw(st.booleans()):
+        rows[at][key] = data.draw(FLOATS)
+        message = "^float in document"
+    else:
+        bad = data.draw(st.one_of(st.integers(), st.none(), st.tuples(st.integers())))
+        rows[at] = {bad if k == key else k: v for k, v in rows[at].items()}
+        message = f"^{type(bad).__name__} key in document — keys must be str$"
+    with pytest.raises(TypeError, match=message):
+        canonical_json(data.draw(buried(st.just(rows), 0, 3)))
 
 
 def test_canonical_json_is_stable_under_reparse():
