@@ -27,7 +27,7 @@ from .fileio import (
     read_vector_file,
     resolve_profile,
 )
-from .gf2 import Gf2Vector, max_zero_sum_subset, zero_sum_subcollection
+from .gf2 import DEFAULT_EFFORT_LIMIT, Gf2Vector, max_zero_sum_subset, zero_sum_subcollection
 from .manifolds import ManifoldProfile, budget_report
 from .surfaces import SurfaceDatum, _admissible_range, tube
 
@@ -56,7 +56,10 @@ def _effort_arg(text: str) -> int:
     return effort
 
 
-_EFFORT_HELP = "budget of the exact search (0 = default 2^22); used only with --exact"
+_EFFORT_HELP = (
+    f"budget of the exact search (0 = default 2^{DEFAULT_EFFORT_LIMIT.bit_length() - 1}); "
+    "used only with --exact"
+)
 
 
 class _UsageError(Exception):

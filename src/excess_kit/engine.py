@@ -11,15 +11,15 @@ the familiar single forms are recorded alongside whenever e is even.
 
 A TraceStep is built for every recorded step, so its constructor is
 written out: it refuses an unknown relation, then stores each field with
-one write into the instance dict, with no __post_init__. The trace builder
-then refuses a step whose relation is false. excess_check builds the
-family's Euler tuple once and reads both the sign hypothesis and the sum
-of |e| from it.
+one write into the instance dict. The trace builder then refuses a step
+whose relation is false. excess_check builds the family's Euler tuple once
+and reads both the sign hypothesis and the sum of |e| from it.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,11 +68,7 @@ class Verdict(enum.Enum):
     HYPOTHESIS_FAILURE = "HypothesisFailure"
 
 
-_RELATIONS = {
-    "=": lambda a, b: a == b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-}
+_RELATIONS = {"=": operator.eq, "<=": operator.le, ">=": operator.ge}
 
 
 @dataclass(frozen=True, init=False)

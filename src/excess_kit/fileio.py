@@ -14,25 +14,24 @@ Only when every line has its form are the values checked: the fields before
 the first block (a family's `ambient` resolved), then the blocks in file
 order, each built into its value once its fields have been checked.
 
-A family file in the plain layout skips the scan: it is ASCII with `\n` line
-ends and no comments, an `ambient: <ref>` line, then `[surface]` blocks of
-`genus: <int>`, `euler_number: <int>` and `class:` (then optionally a space
-and the bits) in that order, each block after one blank line or none (the
-same for every block), with no other whitespace around a line. One
-compiled match reads the ambient line and one `findall` checks and reads
-every block; any other family file goes through `_scan`. The patterns have
-checked the form of each integer and class, so plain rows are checked once
-more, for their values only (the digit cap, int(), genus >= 1 and the class
-length), and become members directly, one class vector per distinct class
-text. When a value may be at fault, the rows, with line numbers from each
-block's position, go to the one checked loop that builds the members of
-every other file and raises the fault, so the values and faults of a family
-do not depend on its layout.
+A family file is read by a fast step or by the scan. A file in the plain
+layout takes the fast step: it is ASCII with `\n` line ends and no comments,
+an `ambient: <ref>` line, then `[surface]` blocks of `genus: <int>`,
+`euler_number: <int>` and `class:` (then optionally a space and the bits) in
+that order, each block after one blank line or none (the same for every
+block), with no other whitespace around a line. One compiled match reads the
+ambient line and one `findall` checks and reads every block. The patterns
+have checked the form of each integer and class, so plain blocks are checked
+once more, for their values only (the digit cap, int(), genus >= 1 and the
+class length), and become members directly, one class vector per distinct
+class text. Any other layout, and any plain file with a value the fast step
+doubts, takes the scan, the only source of line numbers: its blocks go to
+the one checked loop that builds the members and raises the fault, so the
+values and faults of a family do not depend on its layout.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import re
 import sys
@@ -62,9 +61,6 @@ _SURFACE_FIELDS = ("genus", "euler_number", "class")
 
 _Field = tuple[int, str]
 _Fields = dict[str, _Field]
-# One [surface] block: its header line number and its genus, euler_number and
-# class fields, each (line number, value) or None when missing.
-_Member = tuple[int, _Field | None, _Field | None, _Field | None]
 # One plain-layout block as _PLAIN_BLOCK's findall gives it: the genus,
 # euler_number and class texts, then an empty group.
 _Block = tuple[str, str, str, str]
@@ -151,39 +147,29 @@ _PLAIN_BLOCK = re.compile(
 )
 
 
-def _plain_family(text: str) -> tuple[_Field, list[_Block], int] | None:
-    """The ambient field, blocks and blank line count of a plain-layout family text.
+def _plain_family(text: str) -> tuple[_Field, list[_Block]] | None:
+    """The ambient field and blocks of a family text in the plain layout, for the fast step.
 
     Each block is its genus, euler_number and class texts (and an empty
-    fourth group); the count is 1 when a blank line goes before every block
-    and 0 when none does. Never raises: a text in any other layout gives None.
+    fourth group). The fields carry no line numbers, which only the scan
+    gives. Never raises: a text in any other layout gives None, and goes to
+    the scan.
     """
     head = _PLAIN_HEAD.match(text)
     if head is None:
         return None
     blocks = _PLAIN_BLOCK.findall(text, head.end())
-    blank = len(head[2])
-    # The line count fails when only some blocks have a blank line before them.
-    if blocks[-1][3] or text.count("\n") != 1 + (4 + blank) * len(blocks):
+    # A block takes 4 lines, or 5 after a blank line; the count fails when
+    # only some blocks have a blank line before them.
+    if blocks[-1][3] or text.count("\n") != 1 + (4 + len(head[2])) * len(blocks):
         return None
-    return (1, head[1]), blocks, blank
+    return (1, head[1]), blocks
 
 
-def _plain_rows(blocks: list[_Block], blank: int) -> list[_Member]:
-    """Exactly the members _scan_family returns for the text of plain blocks."""
-    # The first header is on line 2 + blank, and a block takes 4 + blank lines.
-    starts = itertools.count(2 + blank, 4 + blank)
-    return [
-        (start, (start + 1, genus), (start + 2, euler), (start + 3, bits))
-        for start, (genus, euler, bits, _) in zip(starts, blocks)
-    ]
-
-
-def _scan_family(path: str, text: str) -> tuple[_Field | None, list[_Member]]:
-    """The ambient field (None when missing) and members of a family text, by _scan."""
+def _scan_family(path: str, text: str) -> tuple[_Field | None, list[tuple[int, _Fields]]]:
+    """The ambient field (None when missing) and _scan's blocks of a family text."""
     head, blocks, _ = _scan(path, text, "family", ("ambient",), "[surface]", _SURFACE_FIELDS)
-    members = [(start, *map(fields.get, _SURFACE_FIELDS)) for start, fields in blocks]
-    return head.get("ambient"), members
+    return head.get("ambient"), blocks
 
 
 def _missing(path: str, start: int, key: str, what: str) -> NoReturn:
@@ -226,11 +212,9 @@ def parse_decimal(text: str) -> int:
         ) from None
 
 
-def _int_field(
-    path: str, start: int, field: _Field | None, key: str, what: str
-) -> tuple[int, int]:
-    """(line number, value) of a required integer field; None is a missing one."""
-    num, raw = field or _missing(path, start, key, what)
+def _int_field(path: str, start: int, fields: _Fields, key: str, what: str) -> tuple[int, int]:
+    """(line number, value) of a required integer field."""
+    num, raw = fields.get(key) or _missing(path, start, key, what)
     try:
         return num, parse_decimal(raw)
     except _TooManyDigits as exc:
@@ -269,11 +253,9 @@ def _profile_from_fields(path: str, start: int, fields: _Fields) -> ManifoldProf
     num, name = fields.get("name") or _missing(path, start, "name", "profile")
     if not name:
         raise ParseError(path, num, "field 'name' is empty")
-    _, signature = _int_field(path, start, fields.get("signature"), "signature", "profile")
-    _, chi = _int_field(
-        path, start, fields.get("euler_characteristic"), "euler_characteristic", "profile"
-    )
-    num, b1 = _int_field(path, start, fields.get("b1_f2"), "b1_f2", "profile")
+    _, signature = _int_field(path, start, fields, "signature", "profile")
+    _, chi = _int_field(path, start, fields, "euler_characteristic", "profile")
+    num, b1 = _int_field(path, start, fields, "b1_f2", "profile")
     if b1 < 0:
         raise ParseError(path, num, f"field 'b1_f2' must be nonnegative, got {b1}")
     profile = ManifoldProfile(
@@ -363,14 +345,14 @@ def read_family_file(
     when that is zero). Returns the ambient profile, used as resolved since
     catalogs and profile files are validated when loaded, and the family.
 
-    A file in the plain layout (see the module docstring) is read by two
-    compiled patterns instead of the line scan; a file in any other layout
-    gives the same values and the same faults, only more slowly.
+    A file in the plain layout (see the module docstring) takes the fast
+    step, two compiled patterns. Any other layout, and a plain file with a
+    value the fast step doubts, takes the line scan, the only source of line
+    numbers; it gives the same values and the same faults, only more slowly.
     """
     text = _read_text(path)
     plain = _plain_family(text)
-    # A plain file's rows are its blocks, until a fault needs their lines.
-    ambient_field, rows = _scan_family(path, text) if plain is None else plain[:2]
+    ambient_field, blocks = _scan_family(path, text) if plain is None else plain
     ambient_line, ref = ambient_field or _missing(path, 0, "ambient", "family")
     if not ref:
         raise ParseError(path, ambient_line, "field 'ambient' is empty")
@@ -378,17 +360,18 @@ def read_family_file(
         ambient = resolve_profile(ref, catalog)
     except CatalogError as exc:
         raise ParseError(path, ambient_line, str(exc)) from None
-    if not rows:
+    if not blocks:
         raise ParseError(path, ambient_line, "family has no [surface] blocks")
 
     dim = ambient.b2_f2
-    members = None if plain is None else _plain_members(rows, dim)
+    members = None if plain is None else _plain_members(blocks, dim)
     if members is None:
         if plain is not None:
-            rows = _plain_rows(rows, plain[2])
-        members = _checked_members(path, ambient, rows)
-    family = SurfaceFamily(ambient_dim=dim, members=tuple(members))
-    return ambient, family
+            # A plain text has no fault of line form, so this read cannot
+            # raise: the checked loop names the doubted value's line.
+            blocks = _scan_family(path, text)[1]
+        members = _checked_members(path, ambient, blocks)
+    return ambient, SurfaceFamily(ambient_dim=dim, members=tuple(members))
 
 
 def _plain_members(blocks: list[_Block], dim: int) -> list[SurfaceDatum] | None:
@@ -400,8 +383,8 @@ def _plain_members(blocks: list[_Block], dim: int) -> list[SurfaceDatum] | None:
     the checked loop too), int() under the interpreter's conversion limit,
     genus >= 1 and the class length. The values are built by the checked
     constructors, one class vector per distinct class text. Never raises:
-    on None the checked loop reads the same blocks and raises the fault, so
-    every message comes from that one loop.
+    on None the scan reads the same text again and the checked loop raises
+    the fault, so every message comes from that one loop.
     """
     classes: dict[str, Gf2Vector] = {}
     members = []
@@ -424,17 +407,17 @@ def _plain_members(blocks: list[_Block], dim: int) -> list[SurfaceDatum] | None:
 
 
 def _checked_members(
-    path: str, ambient: ManifoldProfile, rows: list[_Member]
+    path: str, ambient: ManifoldProfile, blocks: list[tuple[int, _Fields]]
 ) -> list[SurfaceDatum]:
-    """The members of rows from any layout, each field checked and faults raised in order."""
+    """The members of _scan's blocks, each field checked and faults raised in order."""
     dim = ambient.b2_f2
     members: list[SurfaceDatum] = []
-    for start, genus_field, euler_field, class_field in rows:
-        num, genus = _int_field(path, start, genus_field, "genus", "surface")
+    for start, fields in blocks:
+        num, genus = _int_field(path, start, fields, "genus", "surface")
         if genus < 1:
             raise ParseError(path, num, f"field 'genus' must be >= 1, got {genus}")
-        _, euler = _int_field(path, start, euler_field, "euler_number", "surface")
-        num, raw = class_field or _missing(path, start, "class", "surface")
+        _, euler = _int_field(path, start, fields, "euler_number", "surface")
+        num, raw = fields.get("class") or _missing(path, start, "class", "surface")
         try:
             mod2_class = Gf2Vector.from_string(raw)
         except ValueError:

@@ -19,9 +19,9 @@ once the tables reach 2^6 entries, so the budget bounds memory too.
 Gf2Vector is built for every class a family file names and every tubed
 class, so its constructor is written out: it checks dim >= 0 and the bit
 range (by bit length) first, then stores each field with one write into
-the instance dict. There is no __post_init__; the dataclass still supplies
-eq, hash, repr, the frozen guard and dataclasses.replace, which goes
-through the same constructor and so through the same checks.
+the instance dict. The dataclass still supplies eq, hash, repr, the frozen
+guard and dataclasses.replace, which goes through the same constructor and
+so through the same checks.
 """
 
 from __future__ import annotations

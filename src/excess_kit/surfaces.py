@@ -11,9 +11,9 @@ holds to the same rule, `_sign_of`, so it builds that tuple once.
 
 SurfaceDatum is built once per family member, so its constructor is written
 out: it applies the genus rule (`_require_genus`, the one place its message
-lives) and stores each field with one write into the instance dict, with no
-__post_init__. SurfaceFamily checks each member's class dimension, and
-TubedSurface its genus and Euler characteristic, in their __post_init__.
+lives) and stores each field with one write into the instance dict.
+SurfaceFamily checks each member's class dimension, and TubedSurface its
+genus and Euler characteristic, in their __post_init__.
 """
 
 from __future__ import annotations

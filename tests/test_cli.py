@@ -15,6 +15,7 @@ import pytest
 from excess_kit import cli
 from excess_kit.cli import run
 from excess_kit.fileio import CATALOG_ENV_VAR
+from excess_kit.gf2 import DEFAULT_EFFORT_LIMIT
 from excess_kit.reports import canonical_json
 
 S4_FAMILY_G2_E8 = "ambient: s4\n[surface]\ngenus: 2\neuler_number: 8\nclass:\n"
@@ -279,10 +280,12 @@ def test_help_exits_zero_with_usage(capsys, argv):
 
 
 def test_effort_help_says_it_needs_exact(capsys):
+    default = f"(0 = default 2^{DEFAULT_EFFORT_LIMIT.bit_length() - 1})"
     for command in ("audit", "zerosum"):
         code, out, _ = invoke(capsys, command, "--help")
         assert code == 0
-        assert "used only with --exact" in " ".join(out.split())
+        help_text = " ".join(out.split())
+        assert "used only with --exact" in help_text and default in help_text
 
 
 def test_usage_error_exit_two(capsys):

@@ -627,9 +627,13 @@ class TestPlainLayout:
     @FUZZ
     @given(text=plain_texts())
     def test_plain_text_gives_the_scan_fields(self, text):
-        ambient, blocks, blank = fileio._plain_family(text)
-        rows = fileio._plain_rows(blocks, blank)
-        assert (ambient, rows) == fileio._scan_family("f.txt", text)
+        ambient, blocks = fileio._plain_family(text)
+        scan_ambient, scan_blocks = fileio._scan_family("f.txt", text)
+        assert ambient == scan_ambient
+        assert [(genus, euler, bits) for genus, euler, bits, _ in blocks] == [
+            (fields["genus"][1], fields["euler_number"][1], fields["class"][1])
+            for _, fields in scan_blocks
+        ]
 
     @pytest.mark.parametrize("kind", MUTATIONS)
     @FUZZ
@@ -713,3 +717,39 @@ class TestPlainValues:
         assert [(s.genus, s.euler_number, s.mod2_class.to01()) for s in family.members] == [
             (1, 4, "10"), (2, -3, "01"), (3, 5, "10"), (1, 0, "10"),
         ]
+
+
+class TestWhenTheScanRuns:
+    """A valid plain file is not scanned; a doubted plain file or any other is scanned once."""
+
+    @pytest.fixture(params=["\n", ""], ids=["blank-line-before-each-block", "no-blank-lines"])
+    def blank(self, request):
+        return request.param
+
+    def scanned(self, path: str):
+        """(number of _scan calls, family_outcome(path))."""
+        with mock.patch.object(fileio, "_scan", wraps=fileio._scan) as scan:
+            outcome = family_outcome(path)
+        return scan.call_count, outcome
+
+    def test_a_valid_plain_file_is_not_scanned(self, tmp_path, blank):
+        rows = [("1", "4", "10"), ("2", "-3", "01")]
+        path = write(tmp_path, "f.txt", plain_family("two", rows, blank))
+        calls, (_, family) = self.scanned(path)
+        assert calls == 0 and family.euler_numbers() == (4, -3)
+
+    @pytest.mark.parametrize(
+        "second",
+        [("0", "4", ""), ("1", "9" * 4001, ""), ("1", "4", "1"), ("1", "-" + "7" * 4000, "")],
+        ids=["genus-0", "4001-digit-euler", "wrong-class-length", "signed-4000-digit-euler"],
+    )
+    def test_a_doubted_plain_file_is_scanned_once(self, tmp_path, blank, second):
+        path = write(tmp_path, "f.txt", plain_family("s4", [("1", "4", ""), second], blank))
+        calls, outcome = self.scanned(path)
+        assert calls == 1 and outcome == checked_outcome(path)
+
+    def test_a_crlf_file_is_scanned_once(self, tmp_path):
+        text = plain_family("two", [("1", "4", "10"), ("2", "-3", "01")], "\n")
+        path = write_bytes(tmp_path, "f.txt", text.replace("\n", "\r\n").encode("ascii"))
+        calls, (_, family) = self.scanned(path)
+        assert calls == 1 and family.euler_numbers() == (4, -3)
