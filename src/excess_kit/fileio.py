@@ -18,16 +18,16 @@ A family file is read by a fast step or by the scan. A file in the plain
 layout takes the fast step: it is ASCII with `\n` line ends and no comments,
 an `ambient: <ref>` line, then `[surface]` blocks of `genus: <int>`,
 `euler_number: <int>` and `class:` (then optionally a space and the bits) in
-that order, each block after one blank line or none (the same for every
-block), with no other whitespace around a line. One compiled match reads the
-ambient line and one `findall` checks and reads every block. The patterns
-have checked the form of each integer and class, so plain blocks are checked
-once more, for their values only (the digit cap, int(), genus >= 1 and the
-class length), and become members directly, one class vector per distinct
-class text. Any other layout, and any plain file with a value the fast step
-doubts, takes the scan, the only source of line numbers: its blocks go to
-the one checked loop that builds the members and raises the fault, so the
-values and faults of a family do not depend on its layout.
+that order, each block after one blank line or none, with no other
+whitespace around a line. One compiled match reads the ambient line and one
+`findall` checks and reads every block. The patterns have checked the form
+of each integer and class, so plain blocks are checked once more, for their
+values only (the digit cap, int(), genus >= 1 and the class length), and
+become members directly, one class vector per distinct class text. Any
+other layout, and any plain file with a value the fast step doubts, takes
+the scan, the only source of line numbers: its blocks go to the one checked
+loop that builds the members and raises the fault, so the values and faults
+of a family do not depend on its layout.
 """
 
 from __future__ import annotations
@@ -135,12 +135,12 @@ def _scan(
 
 
 # A plain-layout family file (see the module docstring). _PLAIN_HEAD reads
-# the ambient line, and its lookahead the blank line before the first block
-# or none. _PLAIN_BLOCK reads one block per match, with the blank line before
-# it if any, or else the rest of the text into group 4, so that one findall
-# both checks and reads the blocks. (One match over the whole file would
-# keep a backtracking frame per block: 2.2 MB for a 1,305-member family.)
-_PLAIN_HEAD = re.compile(r"ambient: ([!-~](?:[ -~]*[!-~])?)\n(?=(\n?)\[surface\]\n)")
+# the ambient line, and its lookahead checks that a block follows.
+# _PLAIN_BLOCK reads one block per match, with the blank line before it if
+# any, or else the rest of the text into group 4, so that one findall both
+# checks and reads the blocks. (One match over the whole file would keep a
+# backtracking frame per block: 2.2 MB for a 1,305-member family.)
+_PLAIN_HEAD = re.compile(r"ambient: ([!-~](?:[ -~]*[!-~])?)\n(?=\n?\[surface\]\n)")
 _PLAIN_BLOCK = re.compile(
     r"\n?\[surface\]\ngenus: ([+-]?[0-9]+)\neuler_number: ([+-]?[0-9]+)\n"
     r"class:(?: ([01]*))?\n|([\s\S]+)"
@@ -150,18 +150,16 @@ _PLAIN_BLOCK = re.compile(
 def _plain_family(text: str) -> tuple[_Field, list[_Block]] | None:
     """The ambient field and blocks of a family text in the plain layout, for the fast step.
 
-    Each block is its genus, euler_number and class texts (and an empty
-    fourth group). The fields carry no line numbers, which only the scan
-    gives. Never raises: a text in any other layout gives None, and goes to
-    the scan.
+    Each block, after one blank line or none, is its genus, euler_number
+    and class texts (and an empty fourth group). The fields carry no line
+    numbers, which only the scan gives. Never raises: a text in any other
+    layout gives None, and goes to the scan.
     """
     head = _PLAIN_HEAD.match(text)
     if head is None:
         return None
     blocks = _PLAIN_BLOCK.findall(text, head.end())
-    # A block takes 4 lines, or 5 after a blank line; the count fails when
-    # only some blocks have a blank line before them.
-    if blocks[-1][3] or text.count("\n") != 1 + (4 + len(head[2])) * len(blocks):
+    if blocks[-1][3]:
         return None
     return (1, head[1]), blocks
 

@@ -256,11 +256,8 @@ def render_budget_text(profile: ManifoldProfile, budget: BudgetReport) -> str:
 
 
 def render_cover_text(cover: CoverProfile, consistency: ConsistencyResult) -> str:
-    document = cover_document(cover, consistency)
-    ok = document.pop("consistency_ok")
-    witness = document.pop("consistency_witness")
-    verdict = "ok" if ok else f"violated ({witness})"
-    return _render_fields(document) + f"\nconsistency: {verdict}"
+    verdict = "ok" if consistency.ok else f"violated ({consistency.witness})"
+    return _render_fields(vars(cover)) + f"\nconsistency: {verdict}"
 
 
 def render_tube_text(tubed: TubedSurface) -> str:

@@ -202,6 +202,40 @@ def test_cover(capsys):
     assert "ramification_euler: 1" in out
 
 
+def test_a_profile_path_in_ambient_is_taken_from_the_current_directory(
+    tmp_path, monkeypatch, capsys
+):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "p.txt").write_text(
+        "name: sphere\nsignature: 0\neuler_characteristic: 2\nb1_f2: 0\n", encoding="utf-8"
+    )
+    (sub / "f.txt").write_text(
+        S4_FAMILY_G1_E2.replace("ambient: s4", "ambient: p.txt"), encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    family = os.path.join("sub", "f.txt")
+    code, out, err = invoke(capsys, "check", "--manifold", "s4", "--family", family)
+    assert code == 2 and out == ""
+    assert err == (
+        f"{family}:1: profile reference 'p.txt' is neither a catalog name nor an existing file\n"
+    )
+    monkeypatch.chdir(sub)
+    code, out, err = invoke(capsys, "check", "--manifold", "s4", "--family", "f.txt")
+    assert code == 0 and out and err == ""
+
+
+def test_cover_violated_text(capsys):
+    code, out, err = invoke(
+        capsys, "cover", "--manifold", "s4", "--genus", "1", "--euler", "6"
+    )
+    assert code == 0 and err == ""
+    assert out == (
+        "sigma_n: -3\nchi_n: 3\nb1_f2_upper: 0\nb2_f2_upper: 1\n"
+        "ramification_euler: 3\nconsistency: violated (3 > 1)\n"
+    )
+
+
 def test_cover_odd_euler(capsys):
     code, _, err = invoke(
         capsys, "cover", "--manifold", "s4", "--genus", "1", "--euler", "3"

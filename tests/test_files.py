@@ -489,20 +489,30 @@ class TestFaultOrder:
 CATALOG = {**builtin_catalog(), "two": ManifoldProfile("two", 0, 4, 0)}
 
 
-def plain_family(ambient: str, members, blank: str) -> str:
-    """A family text in the plain layout; blank goes before every block, "\\n" or ""."""
+def plain_family(ambient: str, members, blank) -> str:
+    """A family text in the plain layout.
+
+    `blank` goes before every block, "\\n" or "", or is a list with one
+    such entry per block.
+    """
+    blanks = [blank] * len(members) if isinstance(blank, str) else blank
     return f"ambient: {ambient}\n" + "".join(
-        f"{blank}[surface]\ngenus: {genus}\neuler_number: {euler}\n"
+        f"{before}[surface]\ngenus: {genus}\neuler_number: {euler}\n"
         + (f"class: {bits}\n" if bits else "class:\n")
-        for genus, euler, bits in members
+        for before, (genus, euler, bits) in zip(blanks, members)
     )
 
 
+# A blank line before block 2 only, of a family with three blocks or fewer.
+MIXED = ["", "\n", ""]
+
+
 class TestPlainLayoutFaults:
-    """Value faults in both plain layouts name their own line, as in any layout."""
+    """Value faults in every plain layout name their own line, as in any layout."""
 
     @pytest.fixture(
-        params=[("\n", 13), ("", 10)], ids=["blank-line-before-each-block", "no-blank-lines"]
+        params=[("\n", 13), ("", 10), (MIXED, 11)],
+        ids=["blank-line-before-each-block", "no-blank-lines", "blank-line-before-block-2"],
     )
     def layout(self, request):
         """The layout's blank line before each block, and block 3's header line."""
@@ -549,15 +559,17 @@ INTS = st.one_of(
 def plain_texts(draw) -> str:
     """Plain-layout family texts, valid or with faults of value only.
 
-    Classes may have the wrong length for the ambient ("s4" needs 0 bits,
-    "two" needs 2) and the ambient may be unknown. An empty class is
+    Each block has a blank line before it or not, drawn per block. Classes
+    may have the wrong length for the ambient ("s4" needs 0 bits, "two"
+    needs 2) and the ambient may be unknown. An empty class is
     written `class:` or, as the benchmark's generator writes it, `class: `.
     """
     members = draw(
         st.lists(st.tuples(INTS, INTS, st.text("01", max_size=3)), min_size=1, max_size=4)
     )
     ambient = draw(st.sampled_from(["s4", "two", "ghost"]))
-    text = plain_family(ambient, members, draw(st.sampled_from(["\n", ""])))
+    blanks = [draw(st.sampled_from(["\n", ""])) for _ in members]
+    text = plain_family(ambient, members, blanks)
     if draw(st.booleans()):
         text = text.replace("\nclass:\n", "\nclass: \n")
     return text
@@ -565,7 +577,7 @@ def plain_texts(draw) -> str:
 
 MUTATIONS = (
     "crlf", "cr", "trailing-space", "leading-space", "tab", "comment", "non-ascii-digit",
-    "no-final-newline", "reorder", "duplicate", "two-blank-lines", "one-blocks-blank-line",
+    "no-final-newline", "reorder", "duplicate", "two-blank-lines",
 )
 
 
@@ -602,11 +614,6 @@ def near_plain_texts(draw, kind: str) -> str:
     elif kind == "duplicate":
         j = draw(st.sampled_from([0, block + 1, block + 2, block + 3]))
         lines.insert(j, lines[j])
-    elif kind == "one-blocks-blank-line" and block != headers[0]:
-        if lines[block - 1]:
-            lines.insert(block, "")
-        else:
-            del lines[block - 1]
     else:
         lines[block:block] = ["", ""]
     ends += ["\n"] * (len(lines) - len(ends))
@@ -722,7 +729,10 @@ class TestPlainValues:
 class TestWhenTheScanRuns:
     """A valid plain file is not scanned; a doubted plain file or any other is scanned once."""
 
-    @pytest.fixture(params=["\n", ""], ids=["blank-line-before-each-block", "no-blank-lines"])
+    @pytest.fixture(
+        params=["\n", "", MIXED],
+        ids=["blank-line-before-each-block", "no-blank-lines", "blank-line-before-block-2"],
+    )
     def blank(self, request):
         return request.param
 
@@ -735,8 +745,9 @@ class TestWhenTheScanRuns:
     def test_a_valid_plain_file_is_not_scanned(self, tmp_path, blank):
         rows = [("1", "4", "10"), ("2", "-3", "01")]
         path = write(tmp_path, "f.txt", plain_family("two", rows, blank))
-        calls, (_, family) = self.scanned(path)
-        assert calls == 0 and family.euler_numbers() == (4, -3)
+        calls, outcome = self.scanned(path)
+        assert calls == 0 and outcome == checked_outcome(path)
+        assert outcome[1].euler_numbers() == (4, -3)
 
     @pytest.mark.parametrize(
         "second",
