@@ -12,8 +12,9 @@ the familiar single forms are recorded alongside whenever e is even.
 A TraceStep is built for every recorded step, so its constructor is
 written out: it refuses an unknown relation, then stores each field with
 one write into the instance dict. The trace builder then refuses a step
-whose relation is false. excess_check builds the family's Euler tuple once
-and reads both the sign hypothesis and the sum of |e| from it.
+whose holds() is false, the test ProofTrace.replay applies. excess_check
+builds the family's Euler tuple once and reads both the sign hypothesis and
+the sum of |e| from it.
 """
 
 from __future__ import annotations
@@ -119,14 +120,14 @@ class ProofTrace:
 
 
 class _TraceBuilder:
-    """Accumulates steps, refusing any whose relation is false."""
+    """Accumulates steps, refusing any whose holds() is false: the test replay applies."""
 
     def __init__(self):
         self.steps: list[TraceStep] = []
 
     def add(self, label: str, lhs: int, rel: str, rhs: int, anchor: str) -> TraceStep:
         step = TraceStep(label, lhs, rel, rhs, anchor)  # refuses an unknown relation
-        if not _RELATIONS[rel](lhs, rhs):
+        if not step.holds():
             raise AssertionError(f"untrue step {label}: {lhs} {rel} {rhs}")
         self.steps.append(step)
         return step

@@ -22,12 +22,14 @@ that order, each block after one blank line or none, with no other
 whitespace around a line. One compiled match reads the ambient line and one
 `findall` checks and reads every block. The patterns have checked the form
 of each integer and class, so plain blocks are checked once more, for their
-values only (the digit cap, int(), genus >= 1 and the class length), and
-become members directly, one class vector per distinct class text. Any
-other layout, and any plain file with a value the fast step doubts, takes
-the scan, the only source of line numbers: its blocks go to the one checked
-loop that builds the members and raises the fault, so the values and faults
-of a family do not depend on its layout.
+values only, and become members directly, one class vector per distinct
+class text. The digit cap and the class length are tested there; int()'s
+conversion limit and genus >= 1 come from int() and the SurfaceDatum
+constructor that builds the member. Any other layout, and any plain file
+with a value the fast step doubts, takes the scan, the only source of line
+numbers: its blocks go to the one checked loop that builds the members and
+raises the fault, so the values and faults of a family do not depend on its
+layout.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ import re
 import sys
 from typing import NoReturn
 
-from .errors import CatalogError, NegativeB2, ParseError, SignatureExceedsRank, _bare, _quote
+from .errors import (
+    CatalogError, InvalidGenus, NegativeB2, ParseError, SignatureExceedsRank, _bare, _quote,
+)
 from .gf2 import Gf2Collection, Gf2Vector
 from .manifolds import ManifoldProfile, validate_profile
 from .surfaces import SurfaceDatum, SurfaceFamily
@@ -377,30 +381,29 @@ def _plain_members(blocks: list[_Block], dim: int) -> list[SurfaceDatum] | None:
 
     _PLAIN_BLOCK has matched each integer to `[+-]?[0-9]+` and each class to
     `[01]*`, so only the value rules are left, and each is checked here
-    once: the digit cap (by length, so a signed 4000-digit value is left to
-    the checked loop too), int() under the interpreter's conversion limit,
-    genus >= 1 and the class length. The values are built by the checked
-    constructors, one class vector per distinct class text. Never raises:
-    on None the scan reads the same text again and the checked loop raises
-    the fault, so every message comes from that one loop.
+    once. The digit cap (by length, so a signed 4000-digit value is left to
+    the checked loop too) and the class length are tested first. The member
+    is then built in one step whose ValueError (int() past the interpreter's
+    conversion limit) or InvalidGenus (genus < 1, from SurfaceDatum) gives
+    None, so those rules are stated only by their owners. One class vector
+    is built per distinct class text. Never raises: on None the scan reads
+    the same text again and the checked loop raises the fault, so every
+    message comes from that one loop.
     """
     classes: dict[str, Gf2Vector] = {}
     members = []
     for genus, euler, bits, _ in blocks:
         if len(genus) > _MAX_DIGITS or len(euler) > _MAX_DIGITS:
             return None
-        try:
-            genus_value, euler_value = int(genus), int(euler)
-        except ValueError:  # past the interpreter's limit, when set below the cap
-            return None
-        if genus_value < 1:
-            return None
         mod2_class = classes.get(bits)
         if mod2_class is None:
             if len(bits) != dim:
                 return None
             mod2_class = classes[bits] = Gf2Vector(dim, int(bits[::-1] or "0", 2))
-        members.append(SurfaceDatum(genus_value, euler_value, mod2_class))
+        try:
+            members.append(SurfaceDatum(int(genus), int(euler), mod2_class))
+        except (ValueError, InvalidGenus):  # int()'s limit, or genus < 1
+            return None
     return members
 
 

@@ -139,8 +139,12 @@ def _trace_document(trace: ProofTrace) -> list[dict[str, Any]]:
     return [vars(step).copy() for step in trace]
 
 
-def report_document(report: ObstructionReport) -> dict[str, Any]:
-    """Machine-readable form of an excess-check report: its fields, JSON-ready."""
+def report_document(report: ObstructionReport | PlaneAuditReport) -> dict[str, Any]:
+    """Machine-readable form of an excess-check report or a plane-family audit.
+
+    Its fields, with the four that both report types share (verdict, trace,
+    assumptions, notes) made JSON-ready; audit_document adds the audit's own.
+    """
     return vars(report) | {
         "verdict": report.verdict.value,
         "trace": _trace_document(report.trace),
@@ -152,15 +156,11 @@ def report_document(report: ObstructionReport) -> dict[str, Any]:
 def audit_document(audit: PlaneAuditReport) -> dict[str, Any]:
     """Machine-readable form of a plane-family audit: its fields, JSON-ready."""
     zero_sum, subfamily = audit.zero_sum_indices, audit.subfamily_report
-    return vars(audit) | {
-        "verdict": audit.verdict.value,
+    return report_document(audit) | {
         "majority_sign": audit.majority_sign.value,
         "majority_indices": list(audit.majority_indices),
         "zero_sum_indices": None if zero_sum is None else list(zero_sum),
         "subfamily_report": None if subfamily is None else report_document(subfamily),
-        "trace": _trace_document(audit.trace),
-        "assumptions": list(audit.assumptions),
-        "notes": list(audit.notes),
     }
 
 
@@ -261,6 +261,4 @@ def render_cover_text(cover: CoverProfile, consistency: ConsistencyResult) -> st
 
 
 def render_tube_text(tubed: TubedSurface) -> str:
-    document = tube_document(tubed)
-    document["mod2_class"] = document["mod2_class"] or "(empty)"
-    return _render_fields(document)
+    return _render_fields(vars(tubed) | {"mod2_class": tubed.mod2_class.to01() or "(empty)"})

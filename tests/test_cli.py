@@ -193,6 +193,21 @@ def test_tube(tmp_path, capsys):
     assert "euler_characteristic: 0" in out
 
 
+def test_tube_nonempty_class_text(tmp_path, capsys):
+    profile = tmp_path / "two.txt"
+    profile.write_text(
+        "name: two\nsignature: 0\neuler_characteristic: 4\nb1_f2: 0\n",
+        encoding="utf-8",
+    )
+    text = (
+        f"ambient: {profile}\n[surface]\ngenus: 1\neuler_number: 2\nclass: 10\n"
+        "[surface]\ngenus: 1\neuler_number: 2\nclass: 11\n"
+    )
+    code, out, err = invoke(capsys, "tube", "--family", family_file(tmp_path, text))
+    assert code == 0 and err == ""
+    assert out == "genus: 2\neuler_number: 4\neuler_characteristic: 0\nmod2_class: 01\n"
+
+
 def test_cover(capsys):
     code, out, _ = invoke(
         capsys, "cover", "--manifold", "s4", "--genus", "1", "--euler", "2"

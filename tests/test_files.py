@@ -751,8 +751,22 @@ class TestWhenTheScanRuns:
 
     @pytest.mark.parametrize(
         "second",
-        [("0", "4", ""), ("1", "9" * 4001, ""), ("1", "4", "1"), ("1", "-" + "7" * 4000, "")],
-        ids=["genus-0", "4001-digit-euler", "wrong-class-length", "signed-4000-digit-euler"],
+        [
+            ("0", "4", ""),
+            ("-1", "4", ""),
+            ("+0", "4", ""),
+            ("1", "9" * 4001, ""),
+            ("1", "4", "1"),
+            ("1", "-" + "7" * 4000, ""),
+        ],
+        ids=[
+            "genus-0",
+            "genus-minus-1",
+            "genus-plus-0",
+            "4001-digit-euler",
+            "wrong-class-length",
+            "signed-4000-digit-euler",
+        ],
     )
     def test_a_doubted_plain_file_is_scanned_once(self, tmp_path, blank, second):
         path = write(tmp_path, "f.txt", plain_family("s4", [("1", "4", ""), second], blank))

@@ -1,10 +1,11 @@
-"""Exit-code integrity, strict integer input, no bare asserts, and the public names."""
+"""Exit-code integrity, strict integer input, no bare asserts, public names, README example."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import pathlib
+import re
 from unittest import mock
 
 import pytest
@@ -17,6 +18,7 @@ from excess_kit.fileio import parse_decimal, read_family_file
 NON_ASCII_OR_GROUPED = ("١٢", "５", "1_000")
 
 SRC = pathlib.Path(excess_kit.__file__).parent
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def invoke(capsys, *argv: str) -> tuple[int, str, str]:
@@ -177,3 +179,10 @@ def test_error_classes_are_pinned():
         if isinstance(value, type) and value.__module__ == errors.__name__
     ]
     assert defined == ERROR_CLASSES
+
+
+def test_readme_library_example_runs_as_written():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```$", text, re.M | re.S)
+    assert block is not None
+    exec(compile(block[1], f"{README}:Library", "exec"), {})
