@@ -13,13 +13,17 @@ A TraceStep is built for every recorded step, so its constructor is
 written out: it refuses an unknown relation, then stores each field with
 one write into the instance dict. The trace builder then refuses a step
 whose holds() is false, the test ProofTrace.replay applies. excess_check
-builds the family's Euler tuple once and reads both the sign hypothesis and
-the sum of |e| from it.
+reads the family's Euler column once for both the sign hypothesis and the
+sum of |e|. plane_family_audit reads only the family's columns too: the
+genus and |e| rules, the majority side and its class vectors come from the
+genus, Euler and mask columns, and the zero-sum subfamily is built from
+their picked entries, so no member record is built.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -351,14 +355,12 @@ def _majority_indices(family: SurfaceFamily) -> tuple[SignClass, tuple[int, ...]
     """Largest one-sided subfamily, ties toward NonNegative.
 
     Members with e = 0 sit on both sides and are counted for whichever side
-    wins.
+    wins. Each side is one pass over the Euler column: `(0).__le__(e)` is
+    e >= 0 and `(0).__ge__(e)` is e <= 0.
     """
-    nonneg = tuple(
-        i for i, s in enumerate(family.members, start=1) if s.euler_number >= 0
-    )
-    nonpos = tuple(
-        i for i, s in enumerate(family.members, start=1) if s.euler_number <= 0
-    )
+    eulers = family.euler_numbers()
+    nonneg = tuple(itertools.compress(itertools.count(1), map((0).__le__, eulers)))
+    nonpos = tuple(itertools.compress(itertools.count(1), map((0).__ge__, eulers)))
     if len(nonneg) >= len(nonpos):
         return SignClass.NON_NEGATIVE, nonneg
     return SignClass.NON_POSITIVE, nonpos
@@ -387,16 +389,17 @@ def plane_family_audit(
     ``workers`` is accepted for compatibility and has no effect.
     """
     budget = budget_report(m)
-    _require_dim(m, planes.ambient_dim, "family classes live in")
-    for pos, s in enumerate(planes.members, start=1):
-        if s.genus != 1:
-            raise NotAPlaneFamily(f"member {pos} has genus {s.genus}, expected 1")
-    for pos, s in enumerate(planes.members, start=1):
-        if abs(s.euler_number) <= 2:
-            raise EulerTooSmall(
-                f"member {pos} has |e| = {abs(s.euler_number)} <= 2; "
-                "the count bound needs |e| > 2"
-            )
+    dim = planes.ambient_dim
+    _require_dim(m, dim, "family classes live in")
+    genera, eulers, masks = planes._genera, planes._eulers, planes._masks
+    if genera.count(1) != len(genera):
+        pos, genus = next((pos, g) for pos, g in enumerate(genera, start=1) if g != 1)
+        raise NotAPlaneFamily(f"member {pos} has genus {genus}, expected 1")
+    if min(map(abs, eulers)) <= 2:
+        pos, size = next((pos, abs(e)) for pos, e in enumerate(eulers, start=1) if abs(e) <= 2)
+        raise EulerTooSmall(
+            f"member {pos} has |e| = {size} <= 2; the count bound needs |e| > 2"
+        )
 
     count = len(planes)
     k, d, b = budget.b2_f2, budget.d_of_m, budget.b_of_m
@@ -414,8 +417,7 @@ def plane_family_audit(
     subreport: ObstructionReport | None = None
     if s_count > k:
         classes = Gf2Collection(
-            dim=planes.ambient_dim,
-            vectors=tuple(planes.members[i - 1].mod2_class for i in majority),
+            dim=dim, vectors=tuple(Gf2Vector(dim, masks[i - 1]) for i in majority)
         )
         if use_exact:
             cert = max_zero_sum_subset(classes, effort_limit)
@@ -441,9 +443,12 @@ def plane_family_audit(
             "zero-sum-lower-bound",
         )
         tb.compare("zero-sum-size-vs-excess-budget", n, d, "unit-excess-per-member")
-        subfamily = SurfaceFamily(
-            ambient_dim=planes.ambient_dim,
-            members=tuple(planes.members[i - 1] for i in zero_sum_indices),
+        picked = [i - 1 for i in zero_sum_indices]
+        subfamily = SurfaceFamily._from_columns(
+            dim,
+            tuple(genera[i] for i in picked),
+            tuple(eulers[i] for i in picked),
+            tuple(masks[i] for i in picked),
         )
         subreport = excess_check(m, subfamily)
         if subreport.verdict is Verdict.HYPOTHESIS_FAILURE:

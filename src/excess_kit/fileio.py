@@ -22,14 +22,15 @@ that order, each block after one blank line or none, with no other
 whitespace around a line. One compiled match reads the ambient line and one
 `findall` checks and reads every block. The patterns have checked the form
 of each integer and class, so plain blocks are checked once more, for their
-values only, and become members directly, one class vector per distinct
-class text. The digit cap and the class length are tested there; int()'s
-conversion limit and genus >= 1 come from int() and the SurfaceDatum
-constructor that builds the member. Any other layout, and any plain file
-with a value the fast step doubts, takes the scan, the only source of line
-numbers: its blocks go to the one checked loop that builds the members and
-raises the fault, so the values and faults of a family do not depend on its
-layout.
+values only, and become the family's three columns directly: the blocks
+are transposed, each integer column is converted in one pass, and one class
+mask is made per distinct class text. The digit cap and the class length
+are tested there; int()'s conversion limit and genus >= 1 come from int()
+and the family's column constructor, and the members are built only if a
+caller asks for them. Any other layout, and any plain file with a value the
+fast step doubts, takes the scan, the only source of line numbers: its
+blocks go to the one checked loop that builds the members and raises the
+fault, so the values and faults of a family do not depend on its layout.
 """
 
 from __future__ import annotations
@@ -351,6 +352,8 @@ def read_family_file(
     step, two compiled patterns. Any other layout, and a plain file with a
     value the fast step doubts, takes the line scan, the only source of line
     numbers; it gives the same values and the same faults, only more slowly.
+    The fast step's family holds columns and builds its members when first
+    asked for them.
     """
     text = _read_text(path)
     plain = _plain_family(text)
@@ -366,45 +369,48 @@ def read_family_file(
         raise ParseError(path, ambient_line, "family has no [surface] blocks")
 
     dim = ambient.b2_f2
-    members = None if plain is None else _plain_members(blocks, dim)
-    if members is None:
+    family = None if plain is None else _plain_columns(blocks, dim)
+    if family is None:
         if plain is not None:
             # A plain text has no fault of line form, so this read cannot
             # raise: the checked loop names the doubted value's line.
             blocks = _scan_family(path, text)[1]
         members = _checked_members(path, ambient, blocks)
-    return ambient, SurfaceFamily(ambient_dim=dim, members=tuple(members))
+        family = SurfaceFamily(ambient_dim=dim, members=tuple(members))
+    return ambient, family
 
 
-def _plain_members(blocks: list[_Block], dim: int) -> list[SurfaceDatum] | None:
-    """The members of plain-layout blocks, or None when any value may be at fault.
+def _plain_columns(blocks: list[_Block], dim: int) -> SurfaceFamily | None:
+    """The family of plain-layout blocks, or None when any value may be at fault.
 
     _PLAIN_BLOCK has matched each integer to `[+-]?[0-9]+` and each class to
     `[01]*`, so only the value rules are left, and each is checked here
-    once. The digit cap (by length, so a signed 4000-digit value is left to
-    the checked loop too) and the class length are tested first. The member
-    is then built in one step whose ValueError (int() past the interpreter's
-    conversion limit) or InvalidGenus (genus < 1, from SurfaceDatum) gives
-    None, so those rules are stated only by their owners. One class vector
-    is built per distinct class text. Never raises: on None the scan reads
-    the same text again and the checked loop raises the fault, so every
-    message comes from that one loop.
+    once, column by column. The digit cap (by length, so a signed
+    4000-digit value is left to the checked loop too) and the class length
+    are tested first, and one mask is made per distinct class text. The
+    family is then built from its columns in one step whose ValueError
+    (int() past the interpreter's conversion limit) or InvalidGenus (genus
+    < 1, from the column constructor) gives None, so those rules are stated
+    only by their owners. Never raises: on None the scan reads the same
+    text again and the checked loop raises the fault, so every message comes
+    from that one loop.
     """
-    classes: dict[str, Gf2Vector] = {}
-    members = []
-    for genus, euler, bits, _ in blocks:
-        if len(genus) > _MAX_DIGITS or len(euler) > _MAX_DIGITS:
-            return None
-        mod2_class = classes.get(bits)
-        if mod2_class is None:
-            if len(bits) != dim:
-                return None
-            mod2_class = classes[bits] = Gf2Vector(dim, int(bits[::-1] or "0", 2))
-        try:
-            members.append(SurfaceDatum(int(genus), int(euler), mod2_class))
-        except (ValueError, InvalidGenus):  # int()'s limit, or genus < 1
-            return None
-    return members
+    genera, eulers, classes, _ = zip(*blocks)
+    if max(map(len, genera)) > _MAX_DIGITS or max(map(len, eulers)) > _MAX_DIGITS:
+        return None
+    distinct = set(classes)
+    if set(map(len, distinct)) != {dim}:
+        return None
+    mask_of = {bits: int(bits[::-1] or "0", 2) for bits in distinct}
+    try:
+        return SurfaceFamily._from_columns(
+            dim,
+            tuple(map(int, genera)),
+            tuple(map(int, eulers)),
+            tuple(map(mask_of.__getitem__, classes)),
+        )
+    except (ValueError, InvalidGenus):  # int()'s limit, or genus < 1
+        return None
 
 
 def _checked_members(

@@ -4,23 +4,31 @@ A surface is carried by three numbers: its nonorientable genus g (so its
 Euler characteristic is 2 - g), its twisted normal Euler number e, and its
 mod-2 homology class as a bit vector. Tubing (ambient connected sum along
 arcs) acts on these by plain addition and XOR; no geometry is represented.
-`tube` takes the genus sum, the Euler sum and the class XOR in one pass over
-the members, and `sign_class` reads the sign pattern off the least and the
-greatest Euler number; the excess check passes the Euler tuple it already
-holds to the same rule, `_sign_of`, so it builds that tuple once.
 
-SurfaceDatum is built once per family member, so its constructor is written
-out: it applies the genus rule (`_require_genus`, the one place its message
-lives) and stores each field with one write into the instance dict.
-SurfaceFamily checks each member's class dimension, and TubedSurface its
-genus and Euler characteristic, in their __post_init__.
+The package reads a SurfaceFamily only through three columns: the
+genera, the Euler numbers and the class masks, each a tuple in member
+order. `tube` takes their two sums and their XOR, `euler_numbers()` returns
+the Euler column, and `sign_class` reads the sign pattern off its least and
+greatest value; the excess check passes the Euler tuple it already holds to
+the same rule, `_sign_of`. A family built from members derives the columns
+as it checks them; one built by `_from_columns` (the plain family reader,
+the plane audit's subfamily) holds only the columns and builds `members` on
+first access, then keeps it, so eq, hash, repr, replace and pickle see the
+same members either way.
+
+SurfaceDatum is built once per member wherever members are built, so its
+constructor is written out: it applies the genus rule (`_require_genus`,
+the one place its message lives) and stores each field with one write into
+the instance dict. TubedSurface checks its genus and Euler characteristic
+in its __post_init__.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import reduce
+from operator import xor
 
 from .errors import DimensionMismatch, EmptyFamily, InvalidGenus
 from .gf2 import Gf2Vector
@@ -74,7 +82,10 @@ class SurfaceFamily:
     """Ordered nonempty list of surfaces with classes in a common dimension.
 
     Disjointness and local flatness of the members are declarations made by
-    whoever assembles the family; nothing here checks geometry.
+    whoever assembles the family; nothing here checks geometry. The family
+    also holds its genus, Euler and class-mask columns (see the module
+    docstring); `members` of a family built from columns is made on first
+    access.
     """
 
     ambient_dim: int
@@ -83,18 +94,83 @@ class SurfaceFamily:
     def __post_init__(self):
         if not self.members:
             raise EmptyFamily("a surface family needs at least one member")
+        genera, eulers, masks = [], [], []
         for pos, s in enumerate(self.members, start=1):
-            if s.mod2_class.dim != self.ambient_dim:
+            mod2_class = s.mod2_class
+            if mod2_class.dim != self.ambient_dim:
                 raise DimensionMismatch(
-                    f"member {pos} has class dimension {s.mod2_class.dim}, "
+                    f"member {pos} has class dimension {mod2_class.dim}, "
                     f"family ambient dimension is {self.ambient_dim}"
                 )
+            genera.append(s.genus)
+            eulers.append(s.euler_number)
+            masks.append(mod2_class.bits)
+        _set_columns(self, tuple(genera), tuple(eulers), tuple(masks))
+
+    @classmethod
+    def _from_columns(
+        cls,
+        ambient_dim: int,
+        genera: tuple[int, ...],
+        eulers: tuple[int, ...],
+        masks: tuple[int, ...],
+    ) -> SurfaceFamily:
+        """A family of the given columns, its members left to be built on first access.
+
+        The columns must have one entry per member. The rules of a family
+        built from members hold here too, each tested by one pass over a
+        column: at least one member, genus >= 1 (the least genus goes to
+        `_require_genus`), and every mask a class of ambient_dim bits.
+        """
+        if not genera:
+            raise EmptyFamily("a surface family needs at least one member")
+        least = min(genera)
+        if least < 1:
+            _require_genus(least)
+        if min(masks) < 0 or max(masks).bit_length() > ambient_dim:
+            raise DimensionMismatch(
+                f"a class mask does not fit the family ambient dimension {ambient_dim}"
+            )
+        family = object.__new__(cls)
+        family.__dict__["ambient_dim"] = ambient_dim
+        _set_columns(family, genera, eulers, masks)
+        return family
+
+    def __getattr__(self, name: str):
+        # Called only when `members` (or any other name) is not in the
+        # instance dict: a family built from columns builds it here, once,
+        # with one class vector per distinct mask.
+        if name != "members":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dim = self.ambient_dim
+        classes = {bits: Gf2Vector(dim, bits) for bits in set(self._masks)}
+        members = tuple(
+            map(SurfaceDatum, self._genera, self._eulers, map(classes.__getitem__, self._masks))
+        )
+        self.__dict__["members"] = members
+        return members
+
+    def __reduce__(self):
+        return type(self), (self.ambient_dim, self.members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._genera)
 
     def euler_numbers(self) -> tuple[int, ...]:
-        return tuple(map(attrgetter("euler_number"), self.members))
+        return self._eulers
+
+
+def _set_columns(
+    family: SurfaceFamily,
+    genera: tuple[int, ...],
+    eulers: tuple[int, ...],
+    masks: tuple[int, ...],
+) -> None:
+    """Store a family's three columns, each with one write into the instance dict."""
+    fields = family.__dict__
+    fields["_genera"] = genera
+    fields["_eulers"] = eulers
+    fields["_masks"] = masks
 
 
 @dataclass(frozen=True)
@@ -129,20 +205,16 @@ class SignClass(enum.Enum):
 def tube(family: SurfaceFamily) -> TubedSurface:
     """Tube a family into one connected surface.
 
-    Genus, Euler number, and mod-2 class add (XOR for the class). Each tube
-    drops the Euler characteristic by 2, which leaves the closed form
-    2 - total genus.
+    Genus, Euler number, and mod-2 class add (XOR for the class): two sums
+    and one XOR over the family's columns. Each tube drops the Euler
+    characteristic by 2, which leaves the closed form 2 - total genus.
     """
-    total_genus = total_euler = bits = 0
-    for s in family.members:
-        total_genus += s.genus
-        total_euler += s.euler_number
-        bits ^= s.mod2_class.bits
+    total_genus = sum(family._genera)
     return TubedSurface(
         genus=total_genus,
-        euler_number=total_euler,
+        euler_number=sum(family._eulers),
         euler_characteristic=2 - total_genus,
-        mod2_class=Gf2Vector(family.ambient_dim, bits),
+        mod2_class=Gf2Vector(family.ambient_dim, reduce(xor, family._masks)),
     )
 
 

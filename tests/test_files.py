@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from excess_kit import fileio
-from excess_kit.errors import CatalogError, NegativeB2, ParseError, SignatureExceedsRank
+from excess_kit import fileio, reports
+from excess_kit.engine import excess_check, plane_family_audit
+from excess_kit.errors import (
+    CatalogError, ExcessKitError, NegativeB2, ParseError, SignatureExceedsRank,
+)
 from excess_kit.fileio import (
     CATALOG_ENV_VAR,
     builtin_catalog,
@@ -23,6 +26,7 @@ from excess_kit.fileio import (
     resolve_profile,
 )
 from excess_kit.manifolds import ManifoldProfile, validate_profile
+from excess_kit.surfaces import SurfaceDatum, SurfaceFamily, tube
 from test_fuzz import FUZZ
 
 
@@ -665,7 +669,7 @@ class TestPlainLayout:
 def checked_outcome(path: str):
     """family_outcome(path), which must equal the outcome of the checked loop alone."""
     outcome = family_outcome(path)
-    with mock.patch.object(fileio, "_plain_members", lambda blocks, dim: None):
+    with mock.patch.object(fileio, "_plain_columns", lambda blocks, dim: None):
         assert family_outcome(path) == outcome
     return outcome
 
@@ -778,3 +782,101 @@ class TestWhenTheScanRuns:
         path = write_bytes(tmp_path, "f.txt", text.replace("\n", "\r\n").encode("ascii"))
         calls, (_, family) = self.scanned(path)
         assert calls == 1 and family.euler_numbers() == (4, -3)
+
+
+@st.composite
+def readable_plain_texts(draw) -> str:
+    """Plain-layout family texts that the fast step reads, half of them plane families.
+
+    A plane family has genus 1 and |e| > 2 throughout, so the audit runs to
+    its end; the other texts have genera from 1 to 20 and small Euler
+    numbers, so the audit mostly refuses them. Classes have the ambient's
+    length.
+    """
+    ambient, dim = draw(st.sampled_from([("s4", 0), ("two", 2)]))
+    if draw(st.booleans()):
+        genus = st.just("1")
+        euler = st.integers(3, 12) | st.integers(-12, -3)
+    else:
+        genus = st.integers(1, 20).map(str) | st.sampled_from(["+1", "007"])
+        euler = st.integers(-20, 20)
+    members = draw(
+        st.lists(
+            st.tuples(genus, euler.map(str), st.text("01", min_size=dim, max_size=dim)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return plain_family(ambient, members, [draw(st.sampled_from(["\n", ""])) for _ in members])
+
+
+def consumer_outcomes(ambient: ManifoldProfile, family: SurfaceFamily):
+    """The family's length, Euler tuple and tube, then its check, audit and exact audit documents.
+
+    A document whose build raises gives the fault's type and message instead.
+    """
+
+    def document(report, build):
+        try:
+            return reports.canonical_json(build(report()))
+        except ExcessKitError as exc:
+            return type(exc), str(exc)
+
+    return (
+        len(family),
+        family.euler_numbers(),
+        tube(family),
+        document(lambda: excess_check(ambient, family), reports.report_document),
+        document(lambda: plane_family_audit(ambient, family), reports.audit_document),
+        document(
+            lambda: plane_family_audit(ambient, family, use_exact=True), reports.audit_document
+        ),
+    )
+
+
+def checked_family(path: str, text: str, ambient: ManifoldProfile) -> SurfaceFamily:
+    """The family of the scan and the checked loop, built from its members."""
+    members = fileio._checked_members(path, ambient, fileio._scan_family(path, text)[1])
+    return SurfaceFamily(ambient.b2_f2, tuple(members))
+
+
+class TestColumnFamily:
+    """A plain file's family holds columns; it reads as the checked loop's family."""
+
+    @FUZZ
+    @given(text=readable_plain_texts())
+    def test_the_column_family_agrees_with_the_checked_family(self, tmp_path_factory, text):
+        path = str(tmp_path_factory.mktemp("plain") / "f.txt")
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+        ambient, family = read_family_file(path, CATALOG)
+        checked = checked_family(path, text, ambient)
+        expected = consumer_outcomes(ambient, checked)
+        assert "members" not in vars(family)
+        assert consumer_outcomes(ambient, family) == expected
+        assert "members" not in vars(family)
+        assert family == checked and hash(family) == hash(checked)
+        assert repr(family) == repr(checked) and family.members == checked.members
+        assert consumer_outcomes(ambient, family) == expected
+
+    def test_reading_checking_and_auditing_build_no_member(self, tmp_path, monkeypatch):
+        rows = [("1", "4", "10"), ("1", "6", "01"), ("1", "-5", "11")]
+        rows += [("1", "8", "10"), ("1", "10", "01")]
+        text = plain_family("two", rows, "\n")
+        path = write(tmp_path, "f.txt", text)
+        built = []
+        init = SurfaceDatum.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SurfaceDatum, "__init__", counted)
+        ambient, family = read_family_file(path, CATALOG)
+        audit = plane_family_audit(ambient, family)
+        assert audit.zero_sum_indices is not None  # the audit checked a subfamily
+        documents = consumer_outcomes(ambient, family)
+        assert built == []
+        twin = checked_family(path, text, ambient)
+        assert len(built) == len(rows)
+        assert consumer_outcomes(ambient, twin) == documents

@@ -1,9 +1,11 @@
-"""The three records built per member or per trace step: Gf2Vector, SurfaceDatum, TraceStep.
+"""The records built per member or per trace step, and the column-built family.
 
-Each is a frozen dataclass whose behaviour is pinned here against a plain
-``@dataclass(frozen=True)`` twin with the same name and fields: construction,
-the checks and their messages, the frozen guard, eq, hash, repr, replace,
-fields, pickle and deepcopy.
+Gf2Vector, SurfaceDatum and TraceStep are frozen dataclasses whose behaviour
+is pinned here against a plain ``@dataclass(frozen=True)`` twin with the
+same name and fields: construction, the checks and their messages, the
+frozen guard, eq, hash, repr, replace, fields, pickle and deepcopy. A
+SurfaceFamily built from its columns is pinned the same way against its
+member-built twin, before and after its members are built.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import pickle
 import pytest
 
 from excess_kit.engine import TraceStep
-from excess_kit.errors import InvalidGenus
+from excess_kit.errors import DimensionMismatch, EmptyFamily, InvalidGenus
 from excess_kit.gf2 import Gf2Vector
-from excess_kit.surfaces import SurfaceDatum
+from excess_kit.surfaces import SurfaceDatum, SurfaceFamily
 
 FIELDS = {
     Gf2Vector: ("dim", "bits"),
@@ -201,3 +203,102 @@ def test_pickle_and_deepcopy_round_trip(cls):
         assert copy.copy(record) == record
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(clone, FIELDS[cls][0], None)
+
+
+# A family built from its genus, Euler and class-mask columns, as the plain
+# family reader and the plane audit build it, against its member-built twin.
+COLUMNS = (3, (1, 2, 1), (4, -6, 0), (0b101, 0b011, 0b101))
+
+
+def column_family() -> SurfaceFamily:
+    return SurfaceFamily._from_columns(*COLUMNS)
+
+
+def member_family() -> SurfaceFamily:
+    dim, genera, eulers, masks = COLUMNS
+    members = tuple(map(SurfaceDatum, genera, eulers, (Gf2Vector(dim, m) for m in masks)))
+    return SurfaceFamily(dim, members)
+
+
+def test_a_column_family_leaves_its_members_until_asked():
+    family = column_family()
+    assert "members" not in vars(family)
+    assert len(family) == 3 and family.euler_numbers() == (4, -6, 0)
+    assert "members" not in vars(family)
+    members = family.members
+    assert members == member_family().members
+    assert vars(family)["members"] is members and family.members is members
+    # Members with the same mask share one class vector.
+    assert members[0].mod2_class is members[2].mod2_class
+
+
+def test_a_column_family_matches_its_member_built_twin():
+    ours, twin_family = column_family(), member_family()
+    assert ours == twin_family and twin_family == ours
+    assert hash(ours) == hash(twin_family)
+    assert repr(ours) == repr(twin_family)
+    assert ours != SurfaceFamily._from_columns(3, (1, 2, 1), (4, -6, 2), (0b101, 0b011, 0b101))
+    assert tuple(f.name for f in dataclasses.fields(ours)) == ("ambient_dim", "members")
+    assert dataclasses.asdict(column_family()) == dataclasses.asdict(twin_family)
+    changed = dataclasses.replace(column_family(), members=twin_family.members[:1])
+    assert type(changed) is SurfaceFamily
+    assert changed == SurfaceFamily(3, twin_family.members[:1]) and len(changed) == 1
+    assert dataclasses.replace(column_family()) == twin_family
+
+
+def test_a_column_family_is_frozen():
+    family = column_family()
+    for name in ("ambient_dim", "members", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(family, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(family, "members")
+    assert "members" not in vars(family) and family == member_family()
+    with pytest.raises(AttributeError, match="^'SurfaceFamily' object has no attribute 'extra'$"):
+        family.extra
+
+
+@pytest.mark.parametrize("materialized", [False, True], ids=["columns-only", "members-built"])
+def test_a_column_family_pickles_and_deepcopies(materialized):
+    family = column_family()
+    if materialized:
+        family.members
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(family, protocol))
+        assert type(back) is SurfaceFamily
+        assert back == member_family() and hash(back) == hash(family)
+        assert back.euler_numbers() == family.euler_numbers()
+    for clone in (copy.deepcopy(family), copy.copy(family)):
+        assert type(clone) is SurfaceFamily
+        assert clone == family and repr(clone) == repr(member_family())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clone.members = ()
+
+
+@pytest.mark.parametrize(
+    "columns, error, message",
+    [
+        ((0, (), (), ()), EmptyFamily, "a surface family needs at least one member"),
+        (
+            (2, (1, 0, 3), (4, 4, 4), (0, 1, 2)),
+            InvalidGenus,
+            "nonorientable genus must be >= 1, got 0",
+        ),
+        (
+            (2, (1, 1), (4, 4), (0b11, 0b100)),
+            DimensionMismatch,
+            "a class mask does not fit the family ambient dimension 2",
+        ),
+        (
+            (0, (1,), (4,), (1,)),
+            DimensionMismatch,
+            "a class mask does not fit the family ambient dimension 0",
+        ),
+    ],
+    ids=["empty", "genus-0", "mask-wider-than-ambient", "mask-in-dimension-0"],
+)
+def test_the_column_constructor_runs_the_family_checks(columns, error, message):
+    with pytest.raises(error) as info:
+        SurfaceFamily._from_columns(*columns)
+    assert type(info.value) is error
+    assert str(info.value) == message
