@@ -5,7 +5,9 @@ informational), 1 when a check returns Obstructed, 2 on hypothesis failure
 or any input/usage error, 3 on an internal error (an unexpected exception,
 reported as one stderr line), 141 (128 + SIGPIPE) when stdout is closed
 before the output is written, with nothing on stderr. The code depends only
-on the verdict or error class, never on the output format.
+on the verdict or error class, never on the output format. An error writes
+nothing to stdout, and its code holds when stderr is closed or absent: the
+message is dropped, and the code is still 2 or 3.
 """
 
 from __future__ import annotations
@@ -280,6 +282,21 @@ def _closed_stdout() -> int:
     return _CLOSED_STDOUT_EXIT
 
 
+def _fail(message: str, code: int) -> int:
+    """Write an error message as one stderr line and return its exit code.
+
+    The code does not depend on the message reaching anyone: a closed
+    stderr drops it, and so does an absent one (None when the process
+    started without fd 2), where print would fall back to stdout.
+    """
+    if sys.stderr is not None:
+        try:
+            print(message, file=sys.stderr)
+        except OSError:
+            pass
+    return code
+
+
 def _dispatch(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -298,17 +315,14 @@ def run(argv: list[str]) -> int:
     except BrokenPipeError:  # only stdout is a pipe the package writes to
         return _closed_stdout()
     except (_UsageError, OSError) as exc:
-        print(_cut_argv(str(exc), argv), file=sys.stderr)
-        return 2
+        return _fail(_cut_argv(str(exc), argv), 2)
     except ExcessKitError as exc:  # uncut: a ParseError's path:line names a real file
-        print(str(exc), file=sys.stderr)
-        return 2
+        return _fail(str(exc), 2)
     except Exception as exc:
         # Exit 1 means Obstructed, so an internal failure must never reach
         # the interpreter's default status of 1.
         message = " ".join(str(exc).splitlines())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return 3
+        return _fail(f"internal error: {type(exc).__name__}: {message}", 3)
 
 
 def main() -> None:

@@ -22,15 +22,19 @@ that order, each block after one blank line or none, with no other
 whitespace around a line. One compiled match reads the ambient line and one
 `findall` checks and reads every block. The patterns have checked the form
 of each integer and class, so plain blocks are checked once more, for their
-values only, and become the family's three columns directly: the blocks
-are transposed, each integer column is converted in one pass, and one class
-mask is made per distinct class text. The digit cap and the class length
-are tested there; int()'s conversion limit and genus >= 1 come from int()
-and the family's column constructor, and the members are built only if a
-caller asks for them. Any other layout, and any plain file with a value the
-fast step doubts, takes the scan, the only source of line numbers: its
-blocks go to the one checked loop that builds the members and raises the
-fault, so the values and faults of a family do not depend on its layout.
+values only: the blocks are transposed, the digit cap and the class length
+are tested once per column, each integer column is converted in one pass,
+and each member's class text becomes one mask. int()'s conversion limit and
+genus >= 1 come from int() and the family's column constructor. Any other
+layout, and any plain file with a value the fast step doubts, takes the
+scan, the only source of line numbers: its blocks go to the one checked loop
+that raises the fault, so the values and faults of a family do not depend
+on its layout.
+
+Both paths end in the same build step: the genus, Euler and class-mask
+columns go to `SurfaceFamily._from_columns`, and no member record is built
+from a file. The family's `members` are built only if a caller asks for
+them.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .errors import (
 )
 from .gf2 import Gf2Collection, Gf2Vector
 from .manifolds import ManifoldProfile, validate_profile
-from .surfaces import SurfaceDatum, SurfaceFamily
+from .surfaces import SurfaceFamily
 
 __all__ = [
     "read_vector_file",
@@ -352,8 +356,8 @@ def read_family_file(
     step, two compiled patterns. Any other layout, and a plain file with a
     value the fast step doubts, takes the line scan, the only source of line
     numbers; it gives the same values and the same faults, only more slowly.
-    The fast step's family holds columns and builds its members when first
-    asked for them.
+    Either way the family is built from its columns, and builds its members
+    when first asked for them.
     """
     text = _read_text(path)
     plain = _plain_family(text)
@@ -368,15 +372,13 @@ def read_family_file(
     if not blocks:
         raise ParseError(path, ambient_line, "family has no [surface] blocks")
 
-    dim = ambient.b2_f2
-    family = None if plain is None else _plain_columns(blocks, dim)
+    family = None if plain is None else _plain_columns(blocks, ambient.b2_f2)
     if family is None:
         if plain is not None:
             # A plain text has no fault of line form, so this read cannot
             # raise: the checked loop names the doubted value's line.
             blocks = _scan_family(path, text)[1]
-        members = _checked_members(path, ambient, blocks)
-        family = SurfaceFamily(ambient_dim=dim, members=tuple(members))
+        family = _checked_columns(path, ambient, blocks)
     return ambient, family
 
 
@@ -387,8 +389,8 @@ def _plain_columns(blocks: list[_Block], dim: int) -> SurfaceFamily | None:
     `[01]*`, so only the value rules are left, and each is checked here
     once, column by column. The digit cap (by length, so a signed
     4000-digit value is left to the checked loop too) and the class length
-    are tested first, and one mask is made per distinct class text. The
-    family is then built from its columns in one step whose ValueError
+    are tested first, and then each member's class text becomes its mask.
+    The family is built from its columns in one step whose ValueError
     (int() past the interpreter's conversion limit) or InvalidGenus (genus
     < 1, from the column constructor) gives None, so those rules are stated
     only by their owners. Never raises: on None the scan reads the same
@@ -398,27 +400,31 @@ def _plain_columns(blocks: list[_Block], dim: int) -> SurfaceFamily | None:
     genera, eulers, classes, _ = zip(*blocks)
     if max(map(len, genera)) > _MAX_DIGITS or max(map(len, eulers)) > _MAX_DIGITS:
         return None
-    distinct = set(classes)
-    if set(map(len, distinct)) != {dim}:
+    if set(map(len, classes)) != {dim}:
         return None
-    mask_of = {bits: int(bits[::-1] or "0", 2) for bits in distinct}
     try:
         return SurfaceFamily._from_columns(
             dim,
             tuple(map(int, genera)),
             tuple(map(int, eulers)),
-            tuple(map(mask_of.__getitem__, classes)),
+            tuple([int(bits[::-1], 2) if bits else 0 for bits in classes]),
         )
     except (ValueError, InvalidGenus):  # int()'s limit, or genus < 1
         return None
 
 
-def _checked_members(
+def _checked_columns(
     path: str, ambient: ManifoldProfile, blocks: list[tuple[int, _Fields]]
-) -> list[SurfaceDatum]:
-    """The members of _scan's blocks, each field checked and faults raised in order."""
+) -> SurfaceFamily:
+    """The family of _scan's blocks, each field checked and faults raised in order.
+
+    Each block gives its genus, Euler number and class mask to the family's
+    columns. The loop has enforced genus >= 1 and the class length, and
+    read_family_file has refused an empty block list, so the column
+    constructor cannot raise here.
+    """
     dim = ambient.b2_f2
-    members: list[SurfaceDatum] = []
+    genera, eulers, masks = [], [], []
     for start, fields in blocks:
         num, genus = _int_field(path, start, fields, "genus", "surface")
         if genus < 1:
@@ -438,5 +444,7 @@ def _checked_members(
                 f"field 'class' has length {mod2_class.dim}, ambient "
                 f"{_quote(ambient.name)} needs {dim}",
             )
-        members.append(SurfaceDatum(genus, euler, mod2_class))
-    return members
+        genera.append(genus)
+        eulers.append(euler)
+        masks.append(mod2_class.bits)
+    return SurfaceFamily._from_columns(dim, tuple(genera), tuple(eulers), tuple(masks))

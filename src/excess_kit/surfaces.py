@@ -11,10 +11,12 @@ order. `tube` takes their two sums and their XOR, `euler_numbers()` returns
 the Euler column, and `sign_class` reads the sign pattern off its least and
 greatest value; the excess check passes the Euler tuple it already holds to
 the same rule, `_sign_of`. A family built from members derives the columns
-as it checks them; one built by `_from_columns` (the plain family reader,
-the plane audit's subfamily) holds only the columns and builds `members` on
-first access, then keeps it, so eq, hash, repr, replace and pickle see the
-same members either way.
+as it checks them; that constructor is for library callers. One built by
+`_from_columns` holds only the columns and builds `members` on first access,
+then keeps it, so eq, hash, repr, replace and pickle see the same members
+either way. Inside the package `_from_columns` has two callers: the family
+file reader, on its fast step and its checked loop alike, and the plane
+audit's subfamily.
 
 SurfaceDatum is built once per member wherever members are built, so its
 constructor is written out: it applies the genus rule (`_require_genus`,

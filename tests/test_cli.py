@@ -412,19 +412,70 @@ def test_a_closed_stdout_exits_141_and_writes_no_stderr(tmp_path, command, buffe
         "massey": ["massey", "--genus", "3"],
     }[command]
     env = {k: v for k, v in os.environ.items() if k not in (CATALOG_ENV_VAR, "PYTHONUNBUFFERED")}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
+    result = run_with_a_closed_pipe(argv, "stdout", env, tmp_path)
+    assert (result.returncode, result.stderr) == (141, b"")
+
+
+def run_with_a_closed_pipe(
+    argv: list[str], closed: str, env: dict[str, str], cwd
+) -> subprocess.CompletedProcess:
+    """Run the CLI in a new process with `closed`, "stdout" or "stderr", a pipe with no reader.
+
+    The other stream is captured.
+    """
+    env = {**env, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     read_end, write_end = os.pipe()
     os.close(read_end)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
     try:
-        result = subprocess.run(
-            [sys.executable, "-m", "excess_kit.cli", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env=env,
-            timeout=60,
+        return subprocess.run(
+            [sys.executable, "-m", "excess_kit.cli", *argv], env=env, cwd=cwd, timeout=60, **streams
         )
     finally:
         os.close(write_end)
-    assert (result.returncode, result.stderr) == (141, b"")
+
+
+ERROR_ARGV = {
+    "usage-error": ["check"],
+    "missing-file": ["check", "--manifold", "s4", "--family", "missing.txt"],
+    "unknown-profile": ["bound", "--manifold", "nope"],
+}
+
+
+@pytest.mark.parametrize("error", ERROR_ARGV)
+def test_a_closed_stderr_keeps_exit_2_and_writes_no_stdout(tmp_path, error):
+    # print() to a stderr with no reader raises BrokenPipeError; escaping
+    # run, it would give the interpreter's status 1, the Obstructed code.
+    env = {k: v for k, v in os.environ.items() if k != CATALOG_ENV_VAR}
+    result = run_with_a_closed_pipe(ERROR_ARGV[error], "stderr", env, tmp_path)
+    assert (result.returncode, result.stdout) == (2, b"")
+
+
+class _ClosedStream:
+    """A text stream whose reader is gone."""
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("stderr", [_ClosedStream(), None], ids=["closed", "absent"])
+def test_error_codes_hold_without_a_working_stderr(tmp_path, monkeypatch, capsys, stderr):
+    # With stderr None (a process started without fd 2), print() would
+    # write the message to stdout instead.
+    monkeypatch.chdir(tmp_path)
+    family = family_file(tmp_path, S4_FAMILY_G1_E2)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    codes = [run(argv) for argv in ERROR_ARGV.values()]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("chain arithmetic broke")
+
+    monkeypatch.setattr(cli, "excess_check", broken)
+    codes.append(run(["check", "--manifold", "s4", "--family", family]))
+    assert codes == [2, 2, 2, 3]
+    assert capsys.readouterr().out == ""

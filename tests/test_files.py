@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import re
 import sys
 from unittest import mock
@@ -25,6 +26,7 @@ from excess_kit.fileio import (
     read_vector_file,
     resolve_profile,
 )
+from excess_kit.gf2 import Gf2Vector
 from excess_kit.manifolds import ManifoldProfile, validate_profile
 from excess_kit.surfaces import SurfaceDatum, SurfaceFamily, tube
 from test_fuzz import FUZZ
@@ -835,13 +837,43 @@ def consumer_outcomes(ambient: ManifoldProfile, family: SurfaceFamily):
 
 
 def checked_family(path: str, text: str, ambient: ManifoldProfile) -> SurfaceFamily:
-    """The family of the scan and the checked loop, built from its members."""
-    members = fileio._checked_members(path, ambient, fileio._scan_family(path, text)[1])
-    return SurfaceFamily(ambient.b2_f2, tuple(members))
+    """The values of the scan and the checked loop, as a family built from members.
+
+    The reference family goes through the public constructor, so a family
+    read from columns is compared with the member-built form.
+    """
+    columns = fileio._checked_columns(path, ambient, fileio._scan_family(path, text)[1])
+    dim = ambient.b2_f2
+    classes = [Gf2Vector(dim, mask) for mask in columns._masks]
+    members = tuple(map(SurfaceDatum, columns._genera, columns._eulers, classes))
+    return SurfaceFamily(dim, members)
+
+
+# Rewrites of a plain family text into layouts that the scan reads. Each
+# assumes a blank line before each block and a first block of genus 1 and
+# Euler number 4.
+SCANNED_LAYOUTS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "comment": lambda text: text.replace("\n", "\n# a comment\n", 1),
+    "reordered": lambda text: text.replace(
+        "genus: 1\neuler_number: 4\n", "euler_number: 4\ngenus: 1\n", 1
+    ),
+    "spaces": lambda text: text.replace("\n[surface]\n", "\n  [surface]  \n", 1),
+}
+LAYOUTS = {"plain": lambda text: text, **SCANNED_LAYOUTS}
+PLANE_ROWS = [("1", "4", "10"), ("1", "6", "01"), ("1", "-5", "11"), ("1", "8", "10")]
+PLANE_ROWS += [("1", "10", "01")]
+
+
+def layout_file(tmp_path, layout: str) -> tuple[str, str]:
+    """(path, text) of PLANE_ROWS in the given layout; only the plain one takes the fast step."""
+    text = LAYOUTS[layout](plain_family("two", PLANE_ROWS, "\n"))
+    assert (fileio._plain_family(text) is None) == (layout != "plain")
+    return write_bytes(tmp_path, "f.txt", text.encode("ascii")), text
 
 
 class TestColumnFamily:
-    """A plain file's family holds columns; it reads as the checked loop's family."""
+    """A family file's family holds columns; it reads as the member-built family."""
 
     @FUZZ
     @given(text=readable_plain_texts())
@@ -859,11 +891,9 @@ class TestColumnFamily:
         assert repr(family) == repr(checked) and family.members == checked.members
         assert consumer_outcomes(ambient, family) == expected
 
-    def test_reading_checking_and_auditing_build_no_member(self, tmp_path, monkeypatch):
-        rows = [("1", "4", "10"), ("1", "6", "01"), ("1", "-5", "11")]
-        rows += [("1", "8", "10"), ("1", "10", "01")]
-        text = plain_family("two", rows, "\n")
-        path = write(tmp_path, "f.txt", text)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_reading_checking_and_auditing_build_no_member(self, tmp_path, monkeypatch, layout):
+        path, text = layout_file(tmp_path, layout)
         built = []
         init = SurfaceDatum.__init__
 
@@ -878,5 +908,16 @@ class TestColumnFamily:
         documents = consumer_outcomes(ambient, family)
         assert built == []
         twin = checked_family(path, text, ambient)
-        assert len(built) == len(rows)
+        assert len(built) == len(PLANE_ROWS)
         assert consumer_outcomes(ambient, twin) == documents
+
+    @pytest.mark.parametrize("layout", SCANNED_LAYOUTS)
+    def test_a_scanned_family_reads_as_the_member_built_family(self, tmp_path, layout):
+        path, text = layout_file(tmp_path, layout)
+        ambient, family = read_family_file(path, CATALOG)
+        twin = checked_family(path, text, ambient)
+        assert "members" not in vars(family)
+        assert family == twin and hash(family) == hash(twin) and repr(family) == repr(twin)
+        assert family.members == twin.members
+        copy = pickle.loads(pickle.dumps(family))
+        assert copy == twin and hash(copy) == hash(twin) and copy.members == twin.members
