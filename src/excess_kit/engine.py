@@ -12,12 +12,12 @@ the familiar single forms are recorded alongside whenever e is even.
 A TraceStep is built for every recorded step, so its constructor is
 written out: it refuses an unknown relation, then stores each field with
 one write into the instance dict. The trace builder then refuses a step
-whose holds() is false, the test ProofTrace.replay applies. excess_check
-reads the family's Euler column once for both the sign hypothesis and the
-sum of |e|. plane_family_audit reads only the family's columns too: the
-genus and |e| rules, the majority side and its class vectors come from the
-genus, Euler and mask columns, and the zero-sum subfamily is built from
-their picked entries, so no member record is built.
+whose holds() is false, the test ProofTrace.replay applies.
+
+plane_family_audit reads only the family's columns: the genus and |e|
+rules, the majority side and its class vectors come from the genus, Euler
+and mask columns, and the zero-sum subfamily is built from their picked
+entries, so no member record is built.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ from .errors import EulerTooSmall, NotAPlaneFamily
 from .gf2 import (
     Gf2Collection,
     Gf2Vector,
+    _require_effort,
     max_zero_sum_subset,
     zero_sum_subcollection,
 )
 from .manifolds import ManifoldProfile, _require_dim, budget_report, excess_budget
-from .surfaces import SignClass, SurfaceFamily, TubedSurface, _sign_of, tube
+from .surfaces import SignClass, SurfaceFamily, TubedSurface, sign_class, tube
 
 __all__ = [
     "Verdict",
@@ -217,22 +218,17 @@ class PlaneAuditReport:
 
 
 def _tube_and_check(
-    m: ManifoldProfile, family: SurfaceFamily, euler_numbers: tuple[int, ...]
+    m: ManifoldProfile, family: SurfaceFamily
 ) -> tuple[TubedSurface, HypothesisRecord]:
-    """Tube the family once; the class-sum hypothesis reads the tubed class.
-
-    The sign hypothesis reads euler_numbers, the family's Euler tuple, which
-    the caller builds once.
-    """
+    """Tube the family once; the class-sum hypothesis reads the tubed class."""
     _require_dim(m, family.ambient_dim, "family classes live in")
     tubed = tube(family)
-    sign = _sign_of(euler_numbers)
-    return tubed, HypothesisRecord(sign=sign, class_sum=tubed.mod2_class)
+    return tubed, HypothesisRecord(sign=sign_class(family), class_sum=tubed.mod2_class)
 
 
 def check_hypotheses(m: ManifoldProfile, family: SurfaceFamily) -> HypothesisRecord:
     """Evaluate the same-sign and zero-class-sum hypotheses."""
-    return _tube_and_check(m, family, family.euler_numbers())[1]
+    return _tube_and_check(m, family)[1]
 
 
 def excess_check(m: ManifoldProfile, family: SurfaceFamily) -> ObstructionReport:
@@ -248,11 +244,10 @@ def excess_check(m: ManifoldProfile, family: SurfaceFamily) -> ObstructionReport
     verdict is HypothesisFailure naming the failing hypothesis.
     """
     rhs = excess_budget(m)
-    euler_numbers = family.euler_numbers()
-    tubed, hyp = _tube_and_check(m, family, euler_numbers)
+    tubed, hyp = _tube_and_check(m, family)
     g_f = tubed.genus
     e_f = tubed.euler_number
-    sum_abs_e = sum(map(abs, euler_numbers))
+    sum_abs_e = sum(map(abs, family.euler_numbers()))
     lhs = sum_abs_e - 2 * g_f
 
     tb = _TraceBuilder()
@@ -386,8 +381,11 @@ def plane_family_audit(
     use_exact, an over-budget search raises EffortExceeded whose attached
     certificate numbers the majority subfamily's members 1, 2, ... in family
     order, not by family position; zero_sum_indices is by family position.
-    ``workers`` is accepted for compatibility and has no effect.
+    A negative effort_limit raises ValueError before any stage runs, with
+    or without use_exact. ``workers`` is accepted for compatibility and
+    has no effect.
     """
+    _require_effort(effort_limit)
     budget = budget_report(m)
     dim = planes.ambient_dim
     _require_dim(m, dim, "family classes live in")

@@ -16,12 +16,13 @@ one 8-byte list slot (every entry is at most r, a cached small int):
 tracemalloc peaks of whole DP solves measured at most 9.1 bytes per entry
 once the tables reach 2^6 entries, so the budget bounds memory too.
 
-Gf2Vector is built for every class a family file names and every tubed
-class, so its constructor is written out: it checks dim >= 0 and the bit
-range (by bit length) first, then stores each field with one write into
-the instance dict. The dataclass still supplies eq, hash, repr, the frozen
-guard and dataclasses.replace, which goes through the same constructor and
-so through the same checks.
+Gf2Vector is built in bulk, for every line of a vector file, every tubed
+class, every class the checked family reader parses and every member of a
+plane audit's overflowing majority, so its constructor is written out: it
+checks dim >= 0 and the bit range (by bit length) first, then stores each
+field with one write into the instance dict. The dataclass still supplies
+eq, hash, repr, the frozen guard and dataclasses.replace, which goes
+through the same constructor and so through the same checks.
 """
 
 from __future__ import annotations
@@ -358,6 +359,12 @@ def _trace_syndromes(coords: list[int]) -> str:
     return digits.decode()
 
 
+def _require_effort(effort_limit: int) -> None:
+    """The effort rule, the one place its message lives: no negative budget."""
+    if effort_limit < 0:
+        raise ValueError("effort_limit must be nonnegative")
+
+
 def max_zero_sum_subset(
     collection: Gf2Collection, effort_limit: int = 0, *, workers: int = 1
 ) -> SubsetCertificate:
@@ -378,8 +385,7 @@ def max_zero_sum_subset(
     its memory as well. ``workers`` is accepted for compatibility and has no
     effect.
     """
-    if effort_limit < 0:
-        raise ValueError("effort_limit must be nonnegative")
+    _require_effort(effort_limit)
     budget = effort_limit or DEFAULT_EFFORT_LIMIT
     coords, rank, dp_cost = _reverse_pass(collection)
     m = len(coords)

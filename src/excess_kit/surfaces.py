@@ -9,20 +9,14 @@ The package reads a SurfaceFamily only through three columns: the
 genera, the Euler numbers and the class masks, each a tuple in member
 order. `tube` takes their two sums and their XOR, `euler_numbers()` returns
 the Euler column, and `sign_class` reads the sign pattern off its least and
-greatest value; the excess check passes the Euler tuple it already holds to
-the same rule, `_sign_of`. A family built from members derives the columns
-as it checks them; that constructor is for library callers. One built by
-`_from_columns` holds only the columns and builds `members` on first access,
-then keeps it, so eq, hash, repr, replace and pickle see the same members
-either way. Inside the package `_from_columns` has two callers: the family
-file reader, on its fast step and its checked loop alike, and the plane
-audit's subfamily.
-
-SurfaceDatum is built once per member wherever members are built, so its
-constructor is written out: it applies the genus rule (`_require_genus`,
-the one place its message lives) and stores each field with one write into
-the instance dict. TubedSurface checks its genus and Euler characteristic
-in its __post_init__.
+greatest value. A family built from members derives the columns from them;
+that constructor is for library callers. One built by `_from_columns`
+holds only the columns and builds `members` on first access, then keeps
+it, so eq, hash, repr, replace and pickle see the same members either way.
+Both constructors end in `_set_columns`, the one place the family rules
+are checked. Inside the package `_from_columns` has two callers: the
+family file reader, on its fast step and its checked loop alike, and the
+plane audit's subfamily.
 """
 
 from __future__ import annotations
@@ -53,26 +47,16 @@ def _require_genus(genus: int) -> None:
         raise InvalidGenus(f"nonorientable genus must be >= 1, got {genus}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SurfaceDatum:
-    """One nonorientable surface: genus, twisted normal Euler number, class.
-
-    The constructor applies the genus rule, then stores each field with one
-    write into the instance dict; eq, hash, repr and the frozen guard are
-    the dataclass's own.
-    """
+    """One nonorientable surface: genus, twisted normal Euler number, class."""
 
     genus: int
     euler_number: int
     mod2_class: Gf2Vector
 
-    def __init__(self, genus: int, euler_number: int, mod2_class: Gf2Vector):
-        if genus < 1:
-            _require_genus(genus)
-        fields = self.__dict__
-        fields["genus"] = genus
-        fields["euler_number"] = euler_number
-        fields["mod2_class"] = mod2_class
+    def __post_init__(self):
+        _require_genus(self.genus)
 
     @property
     def euler_characteristic(self) -> int:
@@ -94,8 +78,6 @@ class SurfaceFamily:
     members: tuple[SurfaceDatum, ...]
 
     def __post_init__(self):
-        if not self.members:
-            raise EmptyFamily("a surface family needs at least one member")
         genera, eulers, masks = [], [], []
         for pos, s in enumerate(self.members, start=1):
             mod2_class = s.mod2_class
@@ -119,20 +101,9 @@ class SurfaceFamily:
     ) -> SurfaceFamily:
         """A family of the given columns, its members left to be built on first access.
 
-        The columns must have one entry per member. The rules of a family
-        built from members hold here too, each tested by one pass over a
-        column: at least one member, genus >= 1 (the least genus goes to
-        `_require_genus`), and every mask a class of ambient_dim bits.
+        The columns must have one entry per member; `_set_columns` checks
+        the family rules on them.
         """
-        if not genera:
-            raise EmptyFamily("a surface family needs at least one member")
-        least = min(genera)
-        if least < 1:
-            _require_genus(least)
-        if min(masks) < 0 or max(masks).bit_length() > ambient_dim:
-            raise DimensionMismatch(
-                f"a class mask does not fit the family ambient dimension {ambient_dim}"
-            )
         family = object.__new__(cls)
         family.__dict__["ambient_dim"] = ambient_dim
         _set_columns(family, genera, eulers, masks)
@@ -152,9 +123,6 @@ class SurfaceFamily:
         self.__dict__["members"] = members
         return members
 
-    def __reduce__(self):
-        return type(self), (self.ambient_dim, self.members)
-
     def __len__(self) -> int:
         return len(self._genera)
 
@@ -168,7 +136,20 @@ def _set_columns(
     eulers: tuple[int, ...],
     masks: tuple[int, ...],
 ) -> None:
-    """Store a family's three columns, each with one write into the instance dict."""
+    """Check the family rules on its three columns, then store each with one write.
+
+    Each rule is tested by one pass over a column: at least one member,
+    genus >= 1 (the least genus goes to `_require_genus`), and every mask
+    a class of ambient_dim bits.
+    """
+    if not genera:
+        raise EmptyFamily("a surface family needs at least one member")
+    _require_genus(min(genera))
+    dim = family.ambient_dim
+    if min(masks) < 0 or max(masks).bit_length() > dim:
+        raise DimensionMismatch(
+            f"a class mask does not fit the family ambient dimension {dim}"
+        )
     fields = family.__dict__
     fields["_genera"] = genera
     fields["_eulers"] = eulers
@@ -226,14 +207,10 @@ def sign_class(family: SurfaceFamily) -> SignClass:
     Whenever the result is not Mixed, |sum of e| equals sum of |e|; the
     excess check records that no-cancellation identity in its trace.
     """
-    return _sign_of(family.euler_numbers())
-
-
-def _sign_of(euler_numbers: tuple[int, ...]) -> SignClass:
-    """sign_class of a family whose Euler numbers the caller already holds."""
-    if min(euler_numbers) >= 0:
+    eulers = family._eulers
+    if min(eulers) >= 0:
         return SignClass.NON_NEGATIVE
-    if max(euler_numbers) <= 0:
+    if max(eulers) <= 0:
         return SignClass.NON_POSITIVE
     return SignClass.MIXED
 

@@ -269,6 +269,20 @@ class TestPlaneFamilyAudit:
             plane_family_audit(p, planes, use_exact=True, effort_limit=1)
         assert err.value.certificate.sorted_indices() == (1, 2, 3, 4, 5, 6)
 
+    @pytest.mark.parametrize("use_exact", [False, True], ids=["constructive", "exact"])
+    @pytest.mark.parametrize("size", [1, 3], ids=["fits-the-rank", "overflows"])
+    def test_a_negative_effort_limit_is_refused_on_every_path(self, size, use_exact):
+        # b2_f2 = 2: one plane fits inside the mod-2 rank, three overflow it.
+        p = ManifoldProfile("two", 0, 4, 0)
+        planes = fam(*(datum(1, 4, "10") for _ in range(size)), dim=2)
+        audit = plane_family_audit(p, planes, use_exact=use_exact)
+        assert (audit.zero_sum_indices is None) is (size == 1)
+        for family in (planes, fam(datum(2, 8, "01"), dim=2)):
+            with pytest.raises(ValueError) as info:
+                plane_family_audit(p, family, use_exact=use_exact, effort_limit=-5)
+            assert type(info.value) is ValueError
+            assert str(info.value) == "effort_limit must be nonnegative"
+
     def test_majority_tie_breaks_nonnegative(self):
         p = ManifoldProfile("two", 0, 4, 0)
         audit = plane_family_audit(

@@ -3,20 +3,25 @@
 Gf2Vector, SurfaceDatum and TraceStep are frozen dataclasses whose behaviour
 is pinned here against a plain ``@dataclass(frozen=True)`` twin with the
 same name and fields: construction, the checks and their messages, the
-frozen guard, eq, hash, repr, replace, fields, pickle and deepcopy. A
-SurfaceFamily built from its columns is pinned the same way against its
-member-built twin, before and after its members are built.
+frozen guard, eq, hash, repr, replace, fields, pickle and deepcopy. Every
+package dataclass declared with ``init=False`` (a written-out constructor)
+must be one of them. A SurfaceFamily built from its columns is pinned the
+same way against its member-built twin, before and after its members are
+built.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
 import dataclasses
 import inspect
+import pathlib
 import pickle
 
 import pytest
 
+import excess_kit
 from excess_kit.engine import TraceStep
 from excess_kit.errors import DimensionMismatch, EmptyFamily, InvalidGenus
 from excess_kit.gf2 import Gf2Vector
@@ -75,6 +80,49 @@ def test_positional_and_keyword_construction_agree(cls):
         assert positional == keyword
         assert tuple(getattr(positional, name) for name in FIELDS[cls]) == values
         assert tuple(vars(positional)) == FIELDS[cls]
+
+
+def written_out_constructors(source: str) -> list[str]:
+    """Names of the classes in source decorated ``@dataclass(..., init=False)``."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for decorator in node.decorator_list:
+            if not isinstance(decorator, ast.Call):
+                continue
+            func = decorator.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "dataclass" and any(
+                keyword.arg == "init"
+                and isinstance(keyword.value, ast.Constant)
+                and keyword.value.value is False
+                for keyword in decorator.keywords
+            ):
+                names.append(node.name)
+    return names
+
+
+def test_the_constructor_scan_finds_both_decorator_spellings():
+    source = (
+        "@dataclass(frozen=True, init=False)\nclass A: pass\n"
+        "@dataclasses.dataclass(init=False)\nclass B: pass\n"
+        "@dataclass(frozen=True)\nclass C: pass\n"
+        "@dataclass(init=True)\nclass D: pass\n"
+        "@dataclass\nclass E: pass\n"
+    )
+    assert written_out_constructors(source) == ["A", "B"]
+
+
+def test_every_written_out_constructor_is_pinned_against_its_twin():
+    package = pathlib.Path(excess_kit.__file__).parent
+    pinned = {(cls.__module__, cls.__qualname__) for cls in FIELDS}
+    found = {
+        (f"excess_kit.{path.stem}", name)
+        for path in sorted(package.glob("*.py"))
+        for name in written_out_constructors(path.read_text(encoding="utf-8"))
+    }
+    assert found <= pinned
 
 
 def test_gf2vector_bits_default_to_zero():
@@ -260,17 +308,22 @@ def test_a_column_family_is_frozen():
 
 @pytest.mark.parametrize("materialized", [False, True], ids=["columns-only", "members-built"])
 def test_a_column_family_pickles_and_deepcopies(materialized):
+    # Pickle and copy carry the instance dict as it stands: a column-only
+    # family stays column-only, and a materialized one keeps its members.
     family = column_family()
     if materialized:
         family.members
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        back = pickle.loads(pickle.dumps(family, protocol))
-        assert type(back) is SurfaceFamily
-        assert back == member_family() and hash(back) == hash(family)
-        assert back.euler_numbers() == family.euler_numbers()
-    for clone in (copy.deepcopy(family), copy.copy(family)):
+    state = set(vars(family))
+    assert ("members" in state) is materialized
+    copies = [pickle.loads(pickle.dumps(family, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(family), copy.deepcopy(family)]
+    for clone in copies:
         assert type(clone) is SurfaceFamily
-        assert clone == family and repr(clone) == repr(member_family())
+        assert set(vars(clone)) == state
+        assert clone.euler_numbers() == family.euler_numbers() and len(clone) == len(family)
+        assert clone == member_family() and member_family() == clone
+        assert clone == family and hash(clone) == hash(member_family())
+        assert repr(clone) == repr(member_family())
         with pytest.raises(dataclasses.FrozenInstanceError):
             clone.members = ()
 

@@ -49,7 +49,7 @@ class TestSurfaceDatum:
 
 class TestSurfaceFamily:
     def test_empty_rejected(self):
-        with pytest.raises(EmptyFamily):
+        with pytest.raises(EmptyFamily, match="^a surface family needs at least one member$"):
             SurfaceFamily(ambient_dim=0, members=())
 
     def test_dimension_mismatch_rejected(self):
