@@ -4,6 +4,13 @@ The package decides, from invariants alone, whether a hypothetical family
 of disjoint nonorientable surfaces can exist in a closed oriented
 4-manifold with a given profile, and emits self-validating arithmetic
 certificates either way. Everything is exact integer and GF(2) arithmetic.
+
+Every tuple the package builds is built from a list (or another sized
+sequence), never from a generator or an iterator such as map(). tuple()
+over an iterator of unknown length allocates a guessed length and resizes
+the tuple to fit, so CPython frees it to the free list of a different size
+from the one it was taken from; repeated calls then fill those free lists,
+and the process grows with the number of calls.
 """
 
 from .covers import (

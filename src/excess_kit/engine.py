@@ -23,7 +23,6 @@ entries, so no member record is built.
 from __future__ import annotations
 
 import enum
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -350,12 +349,11 @@ def _majority_indices(family: SurfaceFamily) -> tuple[SignClass, tuple[int, ...]
     """Largest one-sided subfamily, ties toward NonNegative.
 
     Members with e = 0 sit on both sides and are counted for whichever side
-    wins. Each side is one pass over the Euler column: `(0).__le__(e)` is
-    e >= 0 and `(0).__ge__(e)` is e <= 0.
+    wins.
     """
     eulers = family.euler_numbers()
-    nonneg = tuple(itertools.compress(itertools.count(1), map((0).__le__, eulers)))
-    nonpos = tuple(itertools.compress(itertools.count(1), map((0).__ge__, eulers)))
+    nonneg = tuple([pos for pos, e in enumerate(eulers, start=1) if e >= 0])
+    nonpos = tuple([pos for pos, e in enumerate(eulers, start=1) if e <= 0])
     if len(nonneg) >= len(nonpos):
         return SignClass.NON_NEGATIVE, nonneg
     return SignClass.NON_POSITIVE, nonpos
@@ -415,7 +413,7 @@ def plane_family_audit(
     subreport: ObstructionReport | None = None
     if s_count > k:
         classes = Gf2Collection(
-            dim=dim, vectors=tuple(Gf2Vector(dim, masks[i - 1]) for i in majority)
+            dim=dim, vectors=tuple([Gf2Vector(dim, masks[i - 1]) for i in majority])
         )
         if use_exact:
             cert = max_zero_sum_subset(classes, effort_limit)
@@ -429,9 +427,7 @@ def plane_family_audit(
             )
         else:
             cert = zero_sum_subcollection(classes)
-        zero_sum_indices = tuple(
-            majority[i - 1] for i in cert.sorted_indices()
-        )
+        zero_sum_indices = tuple([majority[i - 1] for i in cert.sorted_indices()])
         n = len(zero_sum_indices)
         tb.add(
             "majority-overflow-vs-zero-sum",
@@ -444,9 +440,9 @@ def plane_family_audit(
         picked = [i - 1 for i in zero_sum_indices]
         subfamily = SurfaceFamily._from_columns(
             dim,
-            tuple(genera[i] for i in picked),
-            tuple(eulers[i] for i in picked),
-            tuple(masks[i] for i in picked),
+            tuple([genera[i] for i in picked]),
+            tuple([eulers[i] for i in picked]),
+            tuple([masks[i] for i in picked]),
         )
         subreport = excess_check(m, subfamily)
         if subreport.verdict is Verdict.HYPOTHESIS_FAILURE:
@@ -487,4 +483,4 @@ def batch_check(
 
     ``workers`` is accepted for compatibility and has no effect.
     """
-    return tuple(excess_check(m, f) for f in families)
+    return tuple([excess_check(m, f) for f in families])

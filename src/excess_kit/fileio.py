@@ -405,8 +405,8 @@ def _plain_columns(blocks: list[_Block], dim: int) -> SurfaceFamily | None:
     try:
         return SurfaceFamily._from_columns(
             dim,
-            tuple(map(int, genera)),
-            tuple(map(int, eulers)),
+            tuple(list(map(int, genera))),
+            tuple(list(map(int, eulers))),
             tuple([int(bits[::-1], 2) if bits else 0 for bits in classes]),
         )
     except (ValueError, InvalidGenus):  # int()'s limit, or genus < 1

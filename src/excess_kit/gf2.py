@@ -141,7 +141,7 @@ class Gf2Collection:
 
     @classmethod
     def from_strings(cls, lines: Sequence[str]) -> Gf2Collection:
-        vecs = tuple(Gf2Vector.from_string(s) for s in lines)
+        vecs = tuple([Gf2Vector.from_string(s) for s in lines])
         return cls(vecs[0].dim if vecs else 0, vecs)
 
     def __len__(self) -> int:
@@ -212,7 +212,7 @@ def greedy_basis(collection: Gf2Collection) -> tuple[int, ...]:
     """
     elim = _Eliminator()
     vectors = enumerate(collection.vectors, start=1)
-    return tuple(i for i, v in vectors if elim.insert(v.bits) is None)
+    return tuple([i for i, v in vectors if elim.insert(v.bits) is None])
 
 
 def coordinates(

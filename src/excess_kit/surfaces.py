@@ -117,9 +117,10 @@ class SurfaceFamily:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         dim = self.ambient_dim
         classes = {bits: Gf2Vector(dim, bits) for bits in set(self._masks)}
-        members = tuple(
-            map(SurfaceDatum, self._genera, self._eulers, map(classes.__getitem__, self._masks))
-        )
+        members = tuple([
+            SurfaceDatum(genus, euler, classes[bits])
+            for genus, euler, bits in zip(self._genera, self._eulers, self._masks)
+        ])
         self.__dict__["members"] = members
         return members
 

@@ -214,18 +214,26 @@ class TestExcessCheck:
         with pytest.raises(ValueError, match="unknown relation '<'"):
             TraceStep("x", 1, "<", 2, "anchor")
 
-    @pytest.mark.parametrize("es", [(2, 6), (2, -6), (-2, 6)])
-    def test_euler_tuple_built_once_per_check(self, es, monkeypatch):
-        calls = []
-        built = SurfaceFamily.euler_numbers
-
-        def counted(family):
-            calls.append(family)
-            return built(family)
-
-        monkeypatch.setattr(SurfaceFamily, "euler_numbers", counted)
-        excess_check(S4, fam(*(datum(1, e) for e in es)))
-        assert len(calls) == 1
+    @pytest.mark.parametrize(
+        "members",
+        [
+            [(1, 2, "00"), (1, 6, "00")],  # both hypotheses hold
+            [(1, 2, "00"), (1, -6, "00")],  # mixed signs
+            [(1, -2, "10"), (2, 6, "00")],  # nonzero class sum
+            [(1, 10, "11"), (1, 4, "11"), (2, 6, "00")],  # obstructed
+        ],
+    )
+    def test_a_column_family_is_checked_without_building_members(self, members):
+        profile = ManifoldProfile("two", 0, 4, 0)
+        columns = SurfaceFamily._from_columns(
+            2,
+            tuple([g for g, _, _ in members]),
+            tuple([e for _, e, _ in members]),
+            tuple([Gf2Vector.from_string(c).bits for _, _, c in members]),
+        )
+        twin = fam(*(datum(g, e, c) for g, e, c in members), dim=2)
+        assert excess_check(profile, columns) == excess_check(profile, twin)
+        assert "members" not in vars(columns)
 
 
 class TestPlaneFamilyAudit:

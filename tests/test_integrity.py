@@ -1,4 +1,4 @@
-"""Exit-code integrity, strict integer input, no bare asserts, public names, README example."""
+"""Exit codes, strict input, no bare asserts or generator-built tuples, public names, README."""
 
 from __future__ import annotations
 
@@ -97,6 +97,52 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert)
         ]
     assert offenders == []
+
+
+# Iterators of unknown length: tuple() over one allocates a guessed length
+# and resizes the result to fit (see the package docstring).
+_UNSIZED_CALLS = {"map", "filter", "zip", "compress"}
+
+
+def tuple_over_iterator_lines(source: str) -> list[int]:
+    """Lines of `tuple(...)` calls whose argument is a generator or an unsized iterator."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple"
+            and len(node.args) == 1
+        ):
+            continue
+        arg = node.args[0]
+        if isinstance(arg, ast.GeneratorExp) or (
+            isinstance(arg, ast.Call)
+            and getattr(arg.func, "id", getattr(arg.func, "attr", None)) in _UNSIZED_CALLS
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_tuple_built_from_a_generator_in_package():
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in tuple_over_iterator_lines(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def test_the_tuple_scan_finds_generators_and_unsized_iterators():
+    source = (
+        "tuple(x for x in y)\n"
+        "tuple(map(int, y))\n"
+        "tuple(itertools.compress(y, z))\n"
+        "tuple([x for x in y])\n"
+        "tuple(list(map(int, y)))\n"
+        "tuple(sorted(y))\n"
+    )
+    assert tuple_over_iterator_lines(source) == [1, 2, 3]
 
 
 PUBLIC_NAMES = {
