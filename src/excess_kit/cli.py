@@ -62,6 +62,7 @@ _EFFORT_HELP = (
     f"budget of the exact search (0 = default 2^{DEFAULT_EFFORT_LIMIT.bit_length() - 1}); "
     "used only with --exact"
 )
+_EXACT_HELP = "use the exact zero-sum maximizer instead of the constructive one"
 
 
 class _UsageError(Exception):
@@ -106,11 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.set_defaults(handler=_cmd_audit)
     audit.add_argument("--manifold", required=True, metavar="REF")
     audit.add_argument("--planes", required=True, metavar="PATH")
-    audit.add_argument(
-        "--exact",
-        action="store_true",
-        help="use the exact zero-sum maximizer instead of the constructive one",
-    )
+    audit.add_argument("--exact", action="store_true", help=_EXACT_HELP)
     audit.add_argument("--format", choices=("text", "json"), default="text")
     audit.add_argument("--effort", type=_effort_arg, default=0, metavar="N", help=_EFFORT_HELP)
 
@@ -128,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     zerosum = sub.add_parser("zerosum", help="zero-sum subset of a vector file")
     zerosum.set_defaults(handler=_cmd_zerosum)
     zerosum.add_argument("--vectors", required=True, metavar="PATH")
-    zerosum.add_argument("--exact", action="store_true")
+    zerosum.add_argument("--exact", action="store_true", help=_EXACT_HELP)
     zerosum.add_argument("--effort", type=_effort_arg, default=0, metavar="N", help=_EFFORT_HELP)
 
     massey = sub.add_parser("massey", help="admissible Euler numbers for a genus")

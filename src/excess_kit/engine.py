@@ -12,7 +12,11 @@ the familiar single forms are recorded alongside whenever e is even.
 A TraceStep is built for every recorded step, so its constructor is
 written out: it refuses an unknown relation, then stores each field with
 one write into the instance dict. The trace builder then refuses a step
-whose holds() is false, the test ProofTrace.replay applies.
+whose holds() is false, the test ProofTrace.replay applies. It is the
+package's only written-out constructor, kept because it is measured: a
+seed-1 screen cycle of the benchmark builds 5,205 steps, and a generated
+constructor with a __post_init__ check made that cycle about 1.04x slower
+(median of 300 alternating in-process cycles).
 
 plane_family_audit reads only the family's columns: the genus and |e|
 rules, the majority side and its class vectors come from the genus, Euler

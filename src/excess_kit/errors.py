@@ -8,7 +8,11 @@ class ExcessKitError(Exception):
 
 
 class ParseError(ExcessKitError):
-    """Malformed input file; carries the path and 1-based line number."""
+    """Malformed input file; carries the path and the line of the fault.
+
+    Lines count from 1. Line 0 means the whole file: a missing `ambient`, or
+    a missing field in a profile file with no header.
+    """
 
     def __init__(self, path: str, line: int, message: str):
         self.path = path

@@ -15,14 +15,6 @@ Its cost is also what the effort budget is compared with. A DP entry is
 one 8-byte list slot (every entry is at most r, a cached small int):
 tracemalloc peaks of whole DP solves measured at most 9.1 bytes per entry
 once the tables reach 2^6 entries, so the budget bounds memory too.
-
-Gf2Vector is built in bulk, for every line of a vector file, every tubed
-class, every class the checked family reader parses and every member of a
-plane audit's overflowing majority, so its constructor is written out: it
-checks dim >= 0 and the bit range (by bit length) first, then stores each
-field with one write into the instance dict. The dataclass still supplies
-eq, hash, repr, the frozen guard and dataclasses.replace, which goes
-through the same constructor and so through the same checks.
 """
 
 from __future__ import annotations
@@ -56,26 +48,18 @@ EXHAUSTIVE_LIMIT = 20
 DEFAULT_EFFORT_LIMIT = 1 << 22
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Gf2Vector:
-    """A vector in GF(2)^dim; bit i of ``bits`` is coordinate i.
-
-    The constructor checks dim and the bit range, then stores each field
-    with one write into the instance dict; eq, hash, repr and the frozen
-    guard are the dataclass's own.
-    """
+    """A vector in GF(2)^dim; bit i of ``bits`` is coordinate i."""
 
     dim: int
     bits: int = 0
 
-    def __init__(self, dim: int, bits: int = 0):
-        if dim < 0:
+    def __post_init__(self):
+        if self.dim < 0:
             raise ValueError("dim must be nonnegative")
-        if bits < 0 or bits.bit_length() > dim:
-            raise ValueError(f"bits out of range for dimension {dim}")
-        fields = self.__dict__
-        fields["dim"] = dim
-        fields["bits"] = bits
+        if self.bits < 0 or self.bits.bit_length() > self.dim:
+            raise ValueError(f"bits out of range for dimension {self.dim}")
 
     @classmethod
     def zero(cls, dim: int) -> Gf2Vector:

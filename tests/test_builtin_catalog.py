@@ -49,6 +49,7 @@ def test_package_sources_alone_list_the_catalog(tmp_path):
         env=env,
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=60,
     )
     assert result.returncode == 0, result.stderr

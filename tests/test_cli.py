@@ -193,6 +193,45 @@ def test_tube(tmp_path, capsys):
     assert "euler_characteristic: 0" in out
 
 
+def family_commands(path: str) -> list[tuple[str, ...]]:
+    return [
+        ("check", "--manifold", "s4", "--family", path, "--format", "json"),
+        ("tube", "--family", path),
+        ("audit", "--manifold", "s4", "--planes", path, "--exact", "--format", "json"),
+    ]
+
+
+@pytest.mark.parametrize("blank", ["", "\n"], ids=["no-blank-line", "blank-line-before-block-2"])
+@pytest.mark.parametrize("genus", [0, 1, 2])
+def test_a_family_file_and_its_crlf_rewrite_give_the_same_results(
+    tmp_path, capsys, genus, blank
+):
+    # A genus-0 block 2 makes the fast step doubt the plain file and hand it
+    # to the scan; a CRLF file is always scanned. Both reach every consumer.
+    text = (
+        f"ambient: s4\n[surface]\ngenus: 1\neuler_number: 4\nclass:\n"
+        f"{blank}[surface]\ngenus: {genus}\neuler_number: 6\nclass:\n"
+    )
+    path = tmp_path / "family.txt"
+    results = {}
+    for layout, ends in (("plain", "\n"), ("crlf", "\r\n")):
+        path.write_bytes(text.replace("\n", ends).encode("ascii"))
+        results[layout] = [invoke(capsys, *argv) for argv in family_commands(str(path))]
+    assert results["crlf"] == results["plain"]
+    check, tubed, audit = results["plain"]
+    if genus == 0:
+        line = text.split("\n").index("genus: 0") + 1
+        assert check[0] == 2 and check[1] == ""
+        assert check[2] == f"{path}:{line}: field 'genus' must be >= 1, got 0\n"
+    else:
+        assert check[0] == 1 and json.loads(check[1])["verdict"] == "Obstructed"
+        assert check[2] == ""
+        assert tubed[0] == 0 and tubed[1] and tubed[2] == ""
+    if genus == 1:
+        assert audit[0] == 1 and audit[2] == ""
+        assert json.loads(audit[1])["verdict"] == "Obstructed"
+
+
 def test_tube_nonempty_class_text(tmp_path, capsys):
     profile = tmp_path / "two.txt"
     profile.write_text(
@@ -330,11 +369,13 @@ def test_help_exits_zero_with_usage(capsys, argv):
 
 def test_effort_help_says_it_needs_exact(capsys):
     default = f"(0 = default 2^{DEFAULT_EFFORT_LIMIT.bit_length() - 1})"
+    exact = "--exact use the exact zero-sum maximizer instead of the constructive one"
     for command in ("audit", "zerosum"):
         code, out, _ = invoke(capsys, command, "--help")
         assert code == 0
         help_text = " ".join(out.split())
         assert "used only with --exact" in help_text and default in help_text
+        assert exact in help_text
 
 
 def test_usage_error_exit_two(capsys):

@@ -232,6 +232,7 @@ def test_integers_past_a_lowered_interpreter_limit_name_that_limit(tmp_path):
             env=env,
             capture_output=True,
             text=True,
+            encoding="utf-8",
             timeout=60,
         )
         assert (result.returncode, result.stdout) == (2, "")

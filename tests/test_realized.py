@@ -56,7 +56,7 @@ def test_the_corpus_holds_the_worked_constructions():
     assert len(names) == len(ENTRIES)
     assert {
         "s4-rp2-plus", "s4-rp2-minus", "cp2-rp2-conic", "cp2bar-rp2-conic",
-        "cp2-cp2-one-per-summand", "s2xs2-rp2-torus",
+        "cp2-cp2-one-per-summand", "s2xs2-rp2-torus", "cp2-rp2-line", "cp2bar-rp2-line",
     } <= names
     for entry in ENTRIES:
         assert entry["construction"] and entry["source"], entry["name"]

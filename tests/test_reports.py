@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import math
@@ -11,15 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from excess_kit.covers import branched_double_cover, consistency_check
 from excess_kit.engine import excess_check
 from excess_kit.gf2 import Gf2Vector, SubsetCertificate
 from excess_kit.manifolds import ManifoldProfile
 from excess_kit.reports import (
     canonical_json,
     certificate_document,
+    cover_document,
     report_document,
+    tube_document,
 )
-from excess_kit.surfaces import SurfaceDatum, SurfaceFamily
+from excess_kit.surfaces import SurfaceDatum, SurfaceFamily, tube
 
 S4 = ManifoldProfile("s4", 0, 2, 0)
 
@@ -261,3 +265,36 @@ def test_certificate_document():
     cert = SubsetCertificate(frozenset({3, 1, 2}))
     assert certificate_document(cert) == {"indices": [1, 2, 3], "size": 3}
     assert str(cert) == "{1,2,3}"
+
+
+def field_names(record) -> set[str]:
+    return {f.name for f in dataclasses.fields(record)}
+
+
+@pytest.mark.parametrize(
+    "genus, euler, ok, witness",
+    [(2, 4, True, None), (2, 8, False, "4 > 2"), (3, -2, True, None)],
+)
+def test_cover_document(genus, euler, ok, witness):
+    cover = branched_double_cover(S4, SurfaceDatum(genus, euler, Gf2Vector(0)))
+    consistency = consistency_check(cover)
+    doc = cover_document(cover, consistency)
+    assert set(doc) == field_names(cover) | {"consistency_ok", "consistency_witness"}
+    assert {name: doc[name] for name in field_names(cover)} == vars(cover)
+    assert (doc["consistency_ok"], doc["consistency_witness"]) == (ok, witness)
+    assert json.loads(canonical_json(doc)) == doc
+
+
+@pytest.mark.parametrize(
+    "dim, masks, bits",
+    [(0, (0, 0), ""), (3, (0b001, 0b011), "010"), (3, (0b101, 0b101), "000")],
+)
+def test_tube_document(dim, masks, bits):
+    first, second = (Gf2Vector(dim, mask) for mask in masks)
+    family = SurfaceFamily(dim, (SurfaceDatum(1, 4, first), SurfaceDatum(2, -6, second)))
+    tubed = tube(family)
+    doc = tube_document(tubed)
+    assert set(doc) == field_names(tubed)
+    assert doc == vars(tubed) | {"mod2_class": bits}
+    assert (doc["genus"], doc["euler_number"], doc["euler_characteristic"]) == (3, -2, -1)
+    assert json.loads(canonical_json(doc)) == doc
