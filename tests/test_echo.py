@@ -190,6 +190,7 @@ def test_argparse_short_values_keep_their_bytes():
 # Usage errors with short values, one per kind of argparse rejection.
 SHORT_USAGE_ERRORS = (
     (),
+    ("check",),
     ("check", "--manifold", "s4"),
     ("check", "--manifold", "s4", "--family", "f", "--format", "xml"),
     ("nope",),

@@ -1,9 +1,10 @@
-"""Exit codes, strict input, no bare asserts or generator-built tuples, public names, README."""
+"""Exit codes, strict input, no bare asserts or generator-built tuples, names, README, launcher."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.metadata
 import pathlib
 import re
 from unittest import mock
@@ -18,7 +19,8 @@ from excess_kit.fileio import parse_decimal, read_family_file
 NON_ASCII_OR_GROUPED = ("١٢", "５", "1_000")
 
 SRC = pathlib.Path(excess_kit.__file__).parent
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def invoke(capsys, *argv: str) -> tuple[int, str, str]:
@@ -232,3 +234,16 @@ def test_readme_library_example_runs_as_written():
     block = re.search(r"^## Library\n\n```python\n(.*?)^```$", text, re.M | re.S)
     assert block is not None
     exec(compile(block[1], f"{README}:Library", "exec"), {})
+
+
+def test_the_console_script_runs_cli_main():
+    # CI runs the installed launcher only for --help and one usage error;
+    # every other command reaches cli.main in process or through -m.
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"excess-kit": "excess_kit.cli:main"}
+    entry = importlib.metadata.EntryPoint(
+        name="excess-kit", value=scripts["excess-kit"], group="console_scripts"
+    )
+    assert entry.load() is cli.main
