@@ -13,13 +13,11 @@ message is dropped, and the code is still 2 or 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Any, Callable, NoReturn
 
-from . import reports
-from .covers import branched_double_cover, consistency_check
-from .engine import Verdict, excess_check, plane_family_audit
 from .errors import _QUOTE_CHARS, CatalogError, ExcessKitError, _quote
 from .fileio import (
     _TooManyDigits,
@@ -35,11 +33,8 @@ from .surfaces import SurfaceDatum, _admissible_range, tube
 
 __all__ = ["build_parser", "run", "main"]
 
-_VERDICT_EXIT = {
-    Verdict.BOUND_SATISFIED: 0,
-    Verdict.OBSTRUCTED: 1,
-    Verdict.HYPOTHESIS_FAILURE: 2,
-}
+# Keyed by Verdict value, so that only check and audit import the engine.
+_VERDICT_EXIT = {"BoundSatisfied": 0, "Obstructed": 1, "HypothesisFailure": 2}
 
 
 def _int_arg(text: str) -> int:
@@ -135,6 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser for run: parsing leaves no state on a parser."""
+    return build_parser()
+
+
 def _profile_line(profile: ManifoldProfile) -> str:
     b = budget_report(profile)
     return (
@@ -145,7 +146,9 @@ def _profile_line(profile: ManifoldProfile) -> str:
 
 
 def _print_budget(profile: ManifoldProfile) -> int:
-    print(reports.render_budget_text(profile, budget_report(profile)))
+    from .reports import render_budget_text
+
+    print(render_budget_text(profile, budget_report(profile)))
     return 0
 
 
@@ -188,16 +191,20 @@ def _print_verdict(
     args: argparse.Namespace, report: Any, document: Callable, render: Callable
 ) -> int:
     """Print a check or audit report in args.format; its verdict is the exit code."""
+    from .reports import canonical_json
+
     if args.format == "json":
-        print(reports.canonical_json(document(report)))
+        print(canonical_json(document(report)))
     else:
         print(render(report))
-    return _VERDICT_EXIT[report.verdict]
+    return _VERDICT_EXIT[report.verdict.value]
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     profile, family = _load_family_for(args.manifold, args.family)
-    report = excess_check(profile, family)
+    from . import engine, reports  # only now: a bad input file exits 2 without them
+
+    report = engine.excess_check(profile, family)
     return _print_verdict(
         args, report, reports.report_document, reports.render_report_text
     )
@@ -205,19 +212,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     profile, family = _load_family_for(args.manifold, args.planes)
-    audit = plane_family_audit(
+    from . import engine, reports
+
+    audit = engine.plane_family_audit(
         profile, family, use_exact=args.exact, effort_limit=args.effort
     )
     return _print_verdict(args, audit, reports.audit_document, reports.render_audit_text)
 
 
 def _cmd_tube(args: argparse.Namespace) -> int:
+    from .reports import render_tube_text
+
     _, family = read_family_file(args.family)
-    print(reports.render_tube_text(tube(family)))
+    print(render_tube_text(tube(family)))
     return 0
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
+    from .covers import branched_double_cover, consistency_check
+    from .reports import render_cover_text
+
     profile = resolve_profile(args.manifold)
     if args.class_bits is None:
         mod2_class = Gf2Vector.zero(profile.b2_f2)
@@ -227,7 +241,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ExcessKitError(str(exc)) from None
     cover = branched_double_cover(profile, SurfaceDatum(args.genus, args.euler, mod2_class))
-    print(reports.render_cover_text(cover, consistency_check(cover)))
+    print(render_cover_text(cover, consistency_check(cover)))
     return 0
 
 
@@ -296,7 +310,7 @@ def _fail(message: str, code: int) -> int:
 
 def _dispatch(argv: list[str]) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit:
         return 0  # --help; argparse's errors raise _UsageError instead
     return args.handler(args)

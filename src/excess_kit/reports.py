@@ -28,13 +28,14 @@ written out key by key, as they rename, join or add fields.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .covers import ConsistencyResult, CoverProfile
-from .engine import ObstructionReport, PlaneAuditReport, ProofTrace
-from .gf2 import SubsetCertificate
-from .manifolds import BudgetReport, ManifoldProfile
-from .surfaces import TubedSurface
+if TYPE_CHECKING:  # annotations only: rendering a budget or a tube loads no engine
+    from .covers import ConsistencyResult, CoverProfile
+    from .engine import ObstructionReport, PlaneAuditReport, ProofTrace
+    from .gf2 import SubsetCertificate
+    from .manifolds import BudgetReport, ManifoldProfile
+    from .surfaces import TubedSurface
 
 __all__ = [
     "canonical_json",

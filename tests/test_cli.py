@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from excess_kit import cli
+from excess_kit import cli, engine
 from excess_kit.cli import run
 from excess_kit.fileio import CATALOG_ENV_VAR
 from excess_kit.gf2 import DEFAULT_EFFORT_LIMIT
@@ -516,7 +516,27 @@ def test_error_codes_hold_without_a_working_stderr(tmp_path, monkeypatch, capsys
     def broken(*args, **kwargs):
         raise AssertionError("chain arithmetic broke")
 
-    monkeypatch.setattr(cli, "excess_check", broken)
+    monkeypatch.setattr(engine, "excess_check", broken)
     codes.append(run(["check", "--manifold", "s4", "--family", family]))
     assert codes == [2, 2, 2, 3]
     assert capsys.readouterr().out == ""
+
+
+def test_run_builds_one_parser_per_process(monkeypatch, capsys):
+    build = cli.build_parser
+    assert build() is not build()
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        codes = [run(argv) for argv in (["massey", "--genus", "2"], ["check"]) * 3]
+    finally:
+        cli._parser.cache_clear()
+    assert (codes, len(calls)) == ([0, 2] * 3, 1)
+    out = capsys.readouterr().out
+    assert out == "-4 0 4\n" * 3

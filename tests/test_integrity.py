@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 
 import excess_kit
-from excess_kit import cli
+from excess_kit import cli, engine
 from excess_kit.errors import ParseError
 from excess_kit.fileio import parse_decimal, read_family_file
 
@@ -37,7 +37,7 @@ def test_unexpected_exception_exits_three_with_one_line(monkeypatch, tmp_path, c
     # A ValueError from inside the package is a fault too, not an input error.
     for error in (AssertionError, ValueError):
         broken = mock.Mock(side_effect=error("chain\narithmetic broke"))
-        monkeypatch.setattr(cli, "excess_check", broken)
+        monkeypatch.setattr(engine, "excess_check", broken)
         code, out, err = invoke(
             capsys, "check", "--manifold", "s4", "--family", str(family)
         )
