@@ -24,8 +24,9 @@ whitespace around a line. One compiled match reads the ambient line and one
 of each integer and class, so plain blocks are checked once more, for their
 values only: the blocks are transposed, the digit cap and the class length
 are tested once per column, each integer column is converted in one pass,
-and each member's class text becomes one mask. int()'s conversion limit and
-genus >= 1 come from int() and the family's column constructor. Any other
+and each member's class text becomes one mask. Genus >= 1 comes from the
+family's column constructor. The digit cap sits under the interpreter's
+int/str limit, so int() accepts every integer the cap lets through. Any other
 layout, and any plain file with a value the fast step doubts, takes the
 scan, the only source of line numbers: its blocks go to the one checked loop
 that raises the fault, so the values and faults of a family do not depend
@@ -188,35 +189,39 @@ def _missing(path: str, start: int, key: str, what: str) -> NoReturn:
     raise ParseError(path, start, f"{what} is missing field {key!r}")
 
 
-# Python refuses int/str conversion past 4300 digits. A sum of m integers of
-# at most _MAX_DIGITS digits has at most _MAX_DIGITS + log10(m) + 1 digits,
-# so no integer derived from accepted input comes near that limit on output.
+# Python refuses int/str conversion past sys.get_int_max_str_digits() digits:
+# 4300 by default, as low as 640 under PYTHONINTMAXSTRDIGITS, 0 for no limit,
+# and absent (no limit) before Python 3.10.7. The digit cap is _MAX_DIGITS, or
+# 300 digits under a lower limit. A sum of m integers of at most the cap has
+# at most cap + log10(m) + 1 digits, so no integer derived from accepted input
+# comes near the limit on output.
 _MAX_DIGITS = 4000
 
 
+def _digit_cap() -> int:
+    """The most digits an accepted integer may have under the interpreter's current limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
+    return limit - 300 if 0 < limit < _MAX_DIGITS + 300 else _MAX_DIGITS
+
+
 class _TooManyDigits(ValueError):
-    """A decimal integer longer than _MAX_DIGITS digits, or than int() accepts."""
+    """A decimal integer longer than the digit cap."""
 
 
 def parse_decimal(text: str) -> int:
     """An optional sign followed by at most 4000 ASCII digits, as an int.
 
-    Raises ValueError for anything else, including the non-ASCII digits,
-    underscores and surrounding whitespace that int() would accept.
+    The cap is 300 digits under the interpreter's int/str limit when that
+    limit is lower (PYTHONINTMAXSTRDIGITS). Raises ValueError for anything
+    else, including the non-ASCII digits, underscores and surrounding
+    whitespace that int() would accept.
     """
     if not (text.isascii() and (text.isdigit() or (text[1:].isdigit() and text[0] in "+-"))):
         raise ValueError(f"not a decimal integer: {_quote(text)}")
-    if len(text.lstrip("+-")) > _MAX_DIGITS:
-        raise _TooManyDigits(f"more than {_MAX_DIGITS} digits")
-    try:
-        return int(text)
-    except ValueError:
-        # The text is a decimal integer, so only the interpreter's conversion
-        # limit refuses it: PYTHONINTMAXSTRDIGITS may set it below the cap.
-        raise _TooManyDigits(
-            f"more than {sys.get_int_max_str_digits()} digits, "
-            "the interpreter's integer conversion limit"
-        ) from None
+    cap = _digit_cap()
+    if len(text.lstrip("+-")) > cap:
+        raise _TooManyDigits(f"more than {cap} digits")
+    return int(text)
 
 
 def _int_field(path: str, start: int, fields: _Fields, key: str, what: str) -> tuple[int, int]:
@@ -387,18 +392,17 @@ def _plain_columns(blocks: list[_Block], dim: int) -> SurfaceFamily | None:
 
     _PLAIN_BLOCK has matched each integer to `[+-]?[0-9]+` and each class to
     `[01]*`, so only the value rules are left, and each is checked here
-    once, column by column. The digit cap (by length, so a signed
-    4000-digit value is left to the checked loop too) and the class length
-    are tested first, and then each member's class text becomes its mask.
-    The family is built from its columns in one step whose ValueError
-    (int() past the interpreter's conversion limit) or InvalidGenus (genus
-    < 1, from the column constructor) gives None, so those rules are stated
-    only by their owners. Never raises: on None the scan reads the same
-    text again and the checked loop raises the fault, so every message comes
-    from that one loop.
+    once, column by column. The digit cap (by length, so a signed value at
+    the cap is left to the checked loop too) and the class length are tested
+    first, and then each member's class text becomes its mask. Under the cap
+    int() cannot refuse a column. The family is built from its columns in
+    one step whose InvalidGenus (genus < 1) gives None, so that rule is
+    stated only by the column constructor. Never raises: on None the scan
+    reads the same text again and the checked loop raises the fault, so
+    every message comes from that one loop.
     """
     genera, eulers, classes, _ = zip(*blocks)
-    if max(map(len, genera)) > _MAX_DIGITS or max(map(len, eulers)) > _MAX_DIGITS:
+    if max(map(len, genera + eulers)) > _digit_cap():
         return None
     if set(map(len, classes)) != {dim}:
         return None
@@ -409,7 +413,7 @@ def _plain_columns(blocks: list[_Block], dim: int) -> SurfaceFamily | None:
             tuple(list(map(int, eulers))),
             tuple([int(bits[::-1], 2) if bits else 0 for bits in classes]),
         )
-    except (ValueError, InvalidGenus):  # int()'s limit, or genus < 1
+    except InvalidGenus:
         return None
 
 

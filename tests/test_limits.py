@@ -1,11 +1,13 @@
-"""Integers at any accepted length: the 4000-digit input cap and the outputs past it.
+"""Integers at any accepted length: the digit cap and the outputs past it.
 
-Python refuses int/str conversion past 4300 digits. Every integer field and
-integer option is capped at 4000 digits, so whatever is derived from
-accepted input (sums over many members included) prints and round-trips,
-and one digit more is a located input error. Messages about huge internal
-values (the exact solver's node count, the admissible Euler numbers of a
-huge genus) must not depend on that conversion limit either.
+Python refuses int/str conversion past a limit of 4300 digits by default,
+which PYTHONINTMAXSTRDIGITS may lower to 640. Every integer field and
+integer option is capped at 4000 digits, or 300 under a lower limit (the
+`cap` fixture sets each limit), so whatever is derived from accepted input
+(sums over many members included) prints and round-trips, and one digit
+more is a located input error. Messages about huge internal values (the
+exact solver's node count, the admissible Euler numbers of a huge genus)
+must not depend on that conversion limit either.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import subprocess
 import sys
 from unittest import mock
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -32,8 +35,21 @@ from test_fuzz import FUZZ
 CAP = 4000
 
 
+class _CappedStdout(io.StringIO):
+    """A stdout that closes, as a pipe would, past 2^24 characters.
+
+    So a command that streams without end (massey of a genus past the cap,
+    were the cap not enforced) fails its test instead of filling memory.
+    """
+
+    def write(self, text: str) -> int:
+        if self.tell() + len(text) > 1 << 24:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
 def invoke(*argv: str) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
+    out, err = _CappedStdout(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(list(argv))
     return code, out.getvalue(), err.getvalue()
@@ -52,10 +68,10 @@ def family_text(members: list[tuple[str, str]], ambient: str = "s4") -> str:
     return f"ambient: {ambient}\n" + blocks
 
 
-def test_family_at_the_cap_exits_by_its_verdict(tmp_path):
-    # Each member has excess 10^4000 - 3, so the family is Obstructed in s4,
+def test_family_at_the_cap_exits_by_its_verdict(tmp_path, cap):
+    # Each member has excess 10^cap - 3, so the family is Obstructed in s4,
     # and its 60-member sums have more digits than any accepted field.
-    big = "9" * CAP
+    big = "9" * cap
     family = write(tmp_path, "family.txt", family_text([("1", big)] * 60))
     lhs = 60 * (int(big) - 2)
 
@@ -76,8 +92,8 @@ def test_family_at_the_cap_exits_by_its_verdict(tmp_path):
     assert f"euler_number: {60 * int(big)}\n" in out
 
 
-def test_one_digit_over_the_cap_is_a_located_input_error(tmp_path):
-    over = "9" * (CAP + 1)
+def test_one_digit_over_the_cap_is_a_located_input_error(tmp_path, cap):
+    over = "9" * (cap + 1)
     family = write(tmp_path, "family.txt", family_text([("1", "4"), ("1", over)]))
     for argv in (
         ("check", "--manifold", "s4", "--family", family),
@@ -85,11 +101,11 @@ def test_one_digit_over_the_cap_is_a_located_input_error(tmp_path):
     ):
         code, out, err = invoke(*argv)
         assert (code, out) == (2, "")
-        assert err == f"{family}:8: field 'euler_number' has more than {CAP} digits\n"
+        assert err == f"{family}:8: field 'euler_number' has more than {cap} digits\n"
 
 
-def test_integer_options_over_the_cap_name_the_option_not_the_digits(tmp_path):
-    over = "-" + "1" * (CAP + 1)
+def test_integer_options_over_the_cap_name_the_option_not_the_digits(cap):
+    over = "-" + "1" * (cap + 1)
     for argv in (
         ("massey", "--genus", over[1:]),
         ("cover", "--manifold", "s4", "--genus", "1", "--euler", over),
@@ -97,7 +113,7 @@ def test_integer_options_over_the_cap_name_the_option_not_the_digits(tmp_path):
     ):
         code, out, err = invoke(*argv)
         assert (code, out) == (2, "")
-        assert err.endswith(f"argument {argv[-2]}: has more than {CAP} digits\n")
+        assert err.endswith(f"argument {argv[-2]}: has more than {cap} digits\n")
         assert "1111" not in err
 
 
@@ -217,26 +233,90 @@ def test_integer_options_near_the_cap(tmp_path_factory, genus, euler, effort):
         assert err.endswith(f"argument --effort: has more than {CAP} digits\n")
 
 
-def test_integers_past_a_lowered_interpreter_limit_name_that_limit(tmp_path):
-    # PYTHONINTMAXSTRDIGITS may put int()'s limit below the 4000-digit cap.
-    family = write(tmp_path, "family.txt", family_text([("1", "2" * 700)]))
+# The lowest int/str limit that PYTHONINTMAXSTRDIGITS accepts, and the cap under it.
+LOWEST_LIMIT, LOWEST_CAP = 640, 340
+
+
+def run_under_the_lowest_limit(
+    argv: tuple[str, ...], env: dict[str, str], head: int = 0
+) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of the CLI in a fresh interpreter at LOWEST_LIMIT.
+
+    With `head`, stdout is closed after its first `head` characters, as
+    `| head -c` would close it.
+    """
     source = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": source, "PYTHONINTMAXSTRDIGITS": "640"}
-    limit = "has more than 640 digits, the interpreter's integer conversion limit\n"
-    for argv, message in [
-        (("massey", "--genus", "1" * 700), "argument --genus: " + limit),
-        (("tube", "--family", family), f"{family}:4: field 'euler_number' " + limit),
-    ]:
-        result = subprocess.run(
-            [sys.executable, "-m", "excess_kit.cli", *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            encoding="utf-8",
-            timeout=60,
-        )
-        assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr.endswith(message)
+    env = {k: v for k, v in os.environ.items() if k != CATALOG_ENV_VAR} | env
+    env |= {"PYTHONPATH": source, "PYTHONINTMAXSTRDIGITS": str(LOWEST_LIMIT)}
+    with subprocess.Popen(
+        [sys.executable, "-m", "excess_kit.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        encoding="utf-8",
+    ) as process:
+        if not head:
+            out, err = process.communicate(timeout=60)
+            return process.returncode, out, err
+        out = process.stdout.read(head)
+        process.stdout.close()
+        err = process.stderr.read()
+        return process.wait(timeout=60), out, err
+
+
+@pytest.mark.parametrize("digits", [LOWEST_CAP, LOWEST_CAP + 1], ids=["at-the-cap", "past-the-cap"])
+def test_every_command_under_the_lowest_interpreter_limit(tmp_path, digits):
+    # At the cap every total prints and each command exits by its verdict;
+    # one digit more is an input error at the field's line or the option.
+    big = "9" * digits
+    n = int(big)
+    fields = f"name: big\nsignature: 0\neuler_characteristic: {big}\nb1_f2: 0\n"
+    profile = write(tmp_path, "profile.txt", fields)
+    catalog = write(tmp_path, "catalog.txt", "[profile]\n" + fields)
+    family = write(tmp_path, "family.txt", family_text([("1", big)] * 2))
+    budget = f"d_of_m: {4 * (n - 2)}\nb_of_m: {10 * (n - 2)}\n"
+    lhs = f"excess (lhs): {2 * n - 4}\n"
+    too_long = f"has more than {LOWEST_CAP} digits\n"
+    chi_fault = f"field 'euler_characteristic' {too_long}"
+    euler_fault = f"{family}:4: field 'euler_number' {too_long}"
+    runs = [
+        (("bound", "--manifold", profile), {}, 0, budget, f"{profile}:3: {chi_fault}"),
+        (("catalog", "show", "big"), {CATALOG_ENV_VAR: catalog}, 0, budget,
+         f"{catalog}:4: {chi_fault}"),
+        (("check", "--manifold", "s4", "--family", family), {}, 1, lhs, euler_fault),
+        (("check", "--manifold", "s4", "--family", family, "--format", "json"), {}, 1,
+         f'"lhs": {2 * n - 4},\n', euler_fault),
+        (("audit", "--manifold", "s4", "--planes", family), {}, 1, lhs, euler_fault),
+        (("tube", "--family", family), {}, 0, f"euler_number: {2 * n}\n", euler_fault),
+        (("cover", "--manifold", "s4", "--genus", big, "--euler", big[:-1] + "8"), {}, 0,
+         f"sigma_n: {-(n - 1) // 2}\n", f"argument --genus: {too_long}"),
+    ]
+    for argv, env, verdict, total, fault in runs:
+        code, out, err = run_under_the_lowest_limit(argv, env)
+        if digits <= LOWEST_CAP:
+            assert (code, err) == (verdict, "")
+            assert total in out
+        else:
+            assert (code, out) == (2, "")
+            assert err.endswith(fault)
+
+    # massey streams 10^340 values; a closed stdout ends it.
+    code, out, err = run_under_the_lowest_limit(("massey", "--genus", big), {}, head=4096)
+    if digits <= LOWEST_CAP:
+        assert (code, err) == (141, "")
+        assert out.startswith(f"{-2 * n} {-2 * n + 4} ")
+    else:
+        assert (code, out) == (2, "")
+        assert err.endswith(f"argument --genus: {too_long}")
+
+
+def test_no_interpreter_limit_getter_means_the_4000_digit_cap(monkeypatch):
+    # Python 3.10.0 to 3.10.6 have no sys.get_int_max_str_digits, and no limit.
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert parse_decimal("9" * 4000) == 10**4000 - 1
+    with pytest.raises(ValueError, match="^more than 4000 digits$"):
+        parse_decimal("9" * 4001)
 
 
 class _OneWrite:

@@ -42,8 +42,10 @@ def test_validate_rejections():
         validate_profile(profile(0, 1, 0))
     with pytest.raises(SignatureExceedsRank):
         validate_profile(profile(3, 3, 0))
-    with pytest.raises(ValueError):
-        validate_profile(profile(0, 6, -1))
+    negative_b1 = ManifoldProfile(name="x", signature=0, euler_characteristic=6, b1_f2=-1)
+    with pytest.raises(ValueError) as err:
+        validate_profile(negative_b1)
+    assert str(err.value) == "x: b1_f2 is negative (-1)"
 
 
 def test_validate_boundary_cases():
