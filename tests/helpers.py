@@ -1,4 +1,4 @@
-"""Shared generators and independent brute-force oracles for the tests.
+"""Shared runners, constructors, generators and brute-force oracles for the tests.
 
 The oracles deliberately avoid the library's own code paths: the subset-XOR
 table is built with numpy slice doubling, and rank is read off the size of
@@ -8,13 +8,56 @@ oracle, both sides must stay independent.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 
 import numpy as np
 
+from excess_kit import cli
 from excess_kit.gf2 import Gf2Collection, Gf2Vector
 from excess_kit.manifolds import ManifoldProfile
 from excess_kit.surfaces import SurfaceDatum, SurfaceFamily
+
+
+class _CappedStdout(io.StringIO):
+    """A stdout that closes, as a pipe would, past 2^24 characters.
+
+    So a command that streams without end (massey of a genus past the cap,
+    were the cap not enforced) fails its test instead of filling memory.
+    """
+
+    def write(self, text: str) -> int:
+        if self.tell() + len(text) > 1 << 24:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def invoke(*argv: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of cli.run(argv) in this process."""
+    out, err = _CappedStdout(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def write(directory, name: str, data: str | bytes) -> str:
+    """Write data, text as UTF-8, to the file `name` in `directory`; return its path."""
+    path = directory / name
+    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    return str(path)
+
+
+def datum(g: int, e: int, bits: str = "") -> SurfaceDatum:
+    return SurfaceDatum(genus=g, euler_number=e, mod2_class=Gf2Vector.from_string(bits))
+
+
+def family(*members: SurfaceDatum, dim: int = 0) -> SurfaceFamily:
+    return SurfaceFamily(ambient_dim=dim, members=members)
+
+
+def vecs(*strings: str) -> Gf2Collection:
+    return Gf2Collection.from_strings(list(strings))
 
 
 def random_collection(

@@ -40,8 +40,7 @@ def test_package_sources_alone_list_the_catalog(tmp_path):
     for source in os.listdir(os.path.dirname(excess_kit.__file__)):
         if source.endswith(".py"):
             shutil.copy(os.path.join(os.path.dirname(excess_kit.__file__), source), package)
-    env = {k: v for k, v in os.environ.items() if k != CATALOG_ENV_VAR}
-    env["PYTHONPATH"] = str(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
     # -S keeps site-packages, and any installed copy of the package, off the path.
     result = subprocess.run(
         [sys.executable, "-S", "-m", "excess_kit.cli", "catalog", "list"],

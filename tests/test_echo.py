@@ -26,6 +26,7 @@ from excess_kit.fileio import CATALOG_ENV_VAR, parse_decimal
 from excess_kit.gf2 import Gf2Vector
 from excess_kit.manifolds import ManifoldProfile
 from excess_kit.surfaces import SurfaceDatum, SurfaceFamily
+from helpers import invoke, write
 
 LONG = 300_000
 MAX_STDERR = 400
@@ -33,13 +34,6 @@ CUT = re.compile(r"\.\.\. \(\d+ characters\)")
 
 SURFACE = "[surface]\ngenus: 1\neuler_number: 4\nclass:\n"
 PROFILE = "[profile]\nname: {name}\nsignature: 0\neuler_characteristic: 4\nb1_f2: 0\n"
-
-
-def invoke(*argv: str) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(list(argv))
-    return code, out.getvalue(), err.getvalue()
 
 
 # (file text, argv with {path} for the file, expected start of stderr)
@@ -90,9 +84,8 @@ FILE_SITES = {
 @pytest.mark.parametrize("site", sorted(FILE_SITES))
 def test_file_value_is_quoted_briefly(tmp_path, site):
     text, argv, prefix = FILE_SITES[site]
-    path = tmp_path / "input.txt"
-    path.write_text(text, encoding="utf-8")
-    env = {CATALOG_ENV_VAR: str(path)} if site == "duplicate profile name" else {}
+    path = write(tmp_path, "input.txt", text)
+    env = {CATALOG_ENV_VAR: path} if site == "duplicate profile name" else {}
     with mock.patch.dict(os.environ, env):
         code, out, err = invoke(*(a.format(path=path) for a in argv))
     assert code == 2
@@ -244,8 +237,7 @@ NAME_SITES = {
 @pytest.mark.parametrize("site", sorted(NAME_SITES))
 def test_profile_name_is_cut(tmp_path, site):
     (signature, chi), family_text, argv = NAME_SITES[site]
-    profile = tmp_path / "profile.txt"
-    profile.write_text(profile_text(NAME, signature, chi), encoding="utf-8")
+    profile = write(tmp_path, "profile.txt", profile_text(NAME, signature, chi))
     family = tmp_path / "family.txt"
     if family_text is not None:
         family.write_text(family_text.format(profile=profile), encoding="utf-8")
@@ -275,11 +267,10 @@ def test_missing_catalog_path_is_cut():
 
 
 def test_catalog_collision_message_cuts_the_name(tmp_path, monkeypatch):
-    path = tmp_path / "extra.txt"
-    path.write_text("[profile]\n" + profile_text(NAME, 0, 2), encoding="utf-8")
-    monkeypatch.setattr(fileio, "builtin_catalog", lambda: fileio.read_catalog_file(str(path)))
+    path = write(tmp_path, "extra.txt", "[profile]\n" + profile_text(NAME, 0, 2))
+    monkeypatch.setattr(fileio, "builtin_catalog", lambda: fileio.read_catalog_file(path))
     with pytest.raises(CatalogError) as exc_info:
-        fileio.load_catalog(env={CATALOG_ENV_VAR: str(path)})
+        fileio.load_catalog(env={CATALOG_ENV_VAR: path})
     assert CUT.search(str(exc_info.value))
     assert len(str(exc_info.value)) < MAX_STDERR
 
@@ -294,11 +285,10 @@ def test_short_bare_name_stays_bare():
 @pytest.mark.parametrize("dim", [64, LONG])
 def test_nonzero_cover_class_is_cut(tmp_path, dim):
     """A class of up to 64 bits is echoed whole, a longer one cut like any bit string."""
-    profile = tmp_path / "profile.txt"
-    profile.write_text(profile_text("wide", 0, dim + 2), encoding="utf-8")
+    profile = write(tmp_path, "profile.txt", profile_text("wide", 0, dim + 2))
     bits = "1" * dim
     code, out, err = invoke(
-        "cover", "--manifold", str(profile), "--genus", "1", "--euler", "2", "--class", bits
+        "cover", "--manifold", profile, "--genus", "1", "--euler", "2", "--class", bits
     )
     shown = bits if dim <= 64 else f"{bits[:64]!r}... ({dim} characters)"
     assert code == 2 and out == ""

@@ -25,22 +25,14 @@ from excess_kit.gf2 import Gf2Vector
 from excess_kit.manifolds import ManifoldProfile, excess_budget
 from excess_kit.surfaces import SignClass, SurfaceDatum, SurfaceFamily
 
-from helpers import random_family, random_valid_profile
+from helpers import datum, family, random_family, random_valid_profile
 
 S4 = ManifoldProfile("s4", 0, 2, 0)
 
 
-def datum(g: int, e: int, bits: str = "") -> SurfaceDatum:
-    return SurfaceDatum(genus=g, euler_number=e, mod2_class=Gf2Vector.from_string(bits))
-
-
-def fam(*members: SurfaceDatum, dim: int = 0) -> SurfaceFamily:
-    return SurfaceFamily(ambient_dim=dim, members=members)
-
-
 class TestCheckHypotheses:
     def test_sphere_family_vacuous_classes(self):
-        rec = check_hypotheses(S4, fam(datum(1, 2), datum(1, 2)))
+        rec = check_hypotheses(S4, family(datum(1, 2), datum(1, 2)))
         assert rec.sign is SignClass.NON_NEGATIVE
         assert rec.class_sum.is_zero
         assert rec.both_hold and rec.failing() is None
@@ -48,7 +40,7 @@ class TestCheckHypotheses:
     def test_mixed_signs(self):
         p = ManifoldProfile("two", 0, 4, 0)
         rec = check_hypotheses(
-            p, fam(datum(1, 2, "00"), datum(1, -4, "00"), dim=2)
+            p, family(datum(1, 2, "00"), datum(1, -4, "00"), dim=2)
         )
         assert rec.sign is SignClass.MIXED
         assert not rec.both_hold
@@ -57,7 +49,7 @@ class TestCheckHypotheses:
     def test_class_sum_failure(self):
         p = ManifoldProfile("two", 0, 4, 0)
         rec = check_hypotheses(
-            p, fam(datum(1, 2, "10"), datum(1, 2, "01"), dim=2)
+            p, family(datum(1, 2, "10"), datum(1, 2, "01"), dim=2)
         )
         assert rec.class_sum.to01() == "11"
         assert rec.failing() == "class-sum"
@@ -65,37 +57,37 @@ class TestCheckHypotheses:
     def test_both_fail(self):
         p = ManifoldProfile("two", 0, 4, 0)
         rec = check_hypotheses(
-            p, fam(datum(1, 2, "10"), datum(1, -2, "01"), dim=2)
+            p, family(datum(1, 2, "10"), datum(1, -2, "01"), dim=2)
         )
         assert rec.failing() == "same-sign+class-sum"
 
     def test_dimension_mismatch(self):
         message = "family classes live in dimension 1, profile s4 has b2_f2 = 0"
         with pytest.raises(DimensionMismatch) as err:
-            check_hypotheses(S4, fam(datum(1, 2, "1"), dim=1))
+            check_hypotheses(S4, family(datum(1, 2, "1"), dim=1))
         assert str(err.value) == message
         with pytest.raises(DimensionMismatch) as err:
-            plane_family_audit(S4, fam(datum(1, 4, "1"), dim=1))
+            plane_family_audit(S4, family(datum(1, 4, "1"), dim=1))
         assert str(err.value) == message
 
 
 class TestExcessCheck:
     def test_sphere_examples(self):
-        r = excess_check(S4, fam(datum(2, 8)))
+        r = excess_check(S4, family(datum(2, 8)))
         assert r.verdict is Verdict.OBSTRUCTED
         assert (r.lhs, r.rhs) == (4, 0)
 
-        r2 = excess_check(S4, fam(datum(1, 2)))
+        r2 = excess_check(S4, family(datum(1, 2)))
         assert r2.verdict is Verdict.BOUND_SATISFIED
         assert (r2.lhs, r2.rhs) == (0, 0)
 
-        r3 = excess_check(S4, fam(datum(1, 2), datum(1, -2)))
+        r3 = excess_check(S4, family(datum(1, 2), datum(1, -2)))
         assert r3.verdict is Verdict.HYPOTHESIS_FAILURE
         assert r3.failed_hypothesis == "same-sign"
 
     def test_invalid_profile_propagates(self):
         with pytest.raises(SignatureExceedsRank):
-            excess_check(ManifoldProfile("bad", 3, 3, 0), fam(datum(1, 2, "1"), dim=1))
+            excess_check(ManifoldProfile("bad", 3, 3, 0), family(datum(1, 2, "1"), dim=1))
 
     def test_trace_replays_and_budget_matches(self):
         rng = random.Random(331)
@@ -153,15 +145,15 @@ class TestExcessCheck:
         assert seen > 20  # the sweep must actually exercise obstructions
 
     def test_odd_euler_numbers_get_verdicts_not_errors(self):
-        r = excess_check(S4, fam(datum(1, 3)))
+        r = excess_check(S4, family(datum(1, 3)))
         assert r.verdict is Verdict.OBSTRUCTED
         assert any("doubled form" in n for n in r.notes)
-        r2 = excess_check(S4, fam(datum(2, 3)))
+        r2 = excess_check(S4, family(datum(2, 3)))
         assert r2.verdict is Verdict.BOUND_SATISFIED
         assert r2.trace.replay()
 
     def test_even_euler_traces_include_integer_cover_steps(self):
-        r = excess_check(S4, fam(datum(1, 2)))
+        r = excess_check(S4, family(datum(1, 2)))
         labels = {s.label for s in r.trace}
         assert {"cover-signature", "ramification-euler", "signature-defect"} <= labels
 
@@ -169,7 +161,7 @@ class TestExcessCheck:
         # |2 sigma(N)| can exceed the doubled rank bound while the final
         # excess comparison still passes; verdict follows the final bound
         p = ManifoldProfile("cp2-like", 1, 3, 0)
-        r = excess_check(p, fam(datum(1, -4, "0"), dim=1))
+        r = excess_check(p, family(datum(1, -4, "0"), dim=1))
         assert r.verdict is Verdict.BOUND_SATISFIED
         assert (r.lhs, r.rhs) == (2, 8)
         step = next(s for s in r.trace if s.label == "cover-signature-vs-rank")
@@ -201,7 +193,7 @@ class TestExcessCheck:
                 assert after.verdict is Verdict.BOUND_SATISFIED
 
     def test_hypothesis_failure_trace_is_tubing_only(self):
-        r = excess_check(S4, fam(datum(1, 2), datum(1, -4)))
+        r = excess_check(S4, family(datum(1, 2), datum(1, -4)))
         assert r.verdict is Verdict.HYPOTHESIS_FAILURE
         assert [s.label for s in r.trace] == [
             "tubed-genus",
@@ -231,14 +223,14 @@ class TestExcessCheck:
             tuple([e for _, e, _ in members]),
             tuple([Gf2Vector.from_string(c).bits for _, _, c in members]),
         )
-        twin = fam(*(datum(g, e, c) for g, e, c in members), dim=2)
+        twin = family(*(datum(g, e, c) for g, e, c in members), dim=2)
         assert excess_check(profile, columns) == excess_check(profile, twin)
         assert "members" not in vars(columns)
 
 
 class TestPlaneFamilyAudit:
     def test_single_plane_on_sphere(self):
-        audit = plane_family_audit(S4, fam(datum(1, 4)))
+        audit = plane_family_audit(S4, family(datum(1, 4)))
         assert audit.verdict is Verdict.OBSTRUCTED
         assert audit.member_count == 1
         assert audit.b_of_m == 0
@@ -258,19 +250,19 @@ class TestPlaneFamilyAudit:
 
     def test_non_plane_rejected(self):
         with pytest.raises(NotAPlaneFamily):
-            plane_family_audit(S4, fam(datum(2, 8)))
+            plane_family_audit(S4, family(datum(2, 8)))
 
     def test_small_euler_rejected(self):
         with pytest.raises(EulerTooSmall):
-            plane_family_audit(S4, fam(datum(1, 2)))
+            plane_family_audit(S4, family(datum(1, 2)))
         with pytest.raises(EulerTooSmall):
-            plane_family_audit(S4, fam(datum(1, -1)))
+            plane_family_audit(S4, family(datum(1, -1)))
 
     def test_refused_certificate_numbers_the_majority(self):
         # Members 2-7 are the majority; the refusal's certificate counts
         # them 1-6, while the audit itself reports family positions.
         p = ManifoldProfile("two", 0, 4, 0)
-        planes = fam(datum(1, 3, "00"), *(datum(1, -3, "00") for _ in range(6)), dim=2)
+        planes = family(datum(1, 3, "00"), *(datum(1, -3, "00") for _ in range(6)), dim=2)
         audit = plane_family_audit(p, planes)
         assert audit.majority_indices == audit.zero_sum_indices == (2, 3, 4, 5, 6, 7)
         with pytest.raises(EffortExceeded) as err:
@@ -282,19 +274,19 @@ class TestPlaneFamilyAudit:
     def test_a_negative_effort_limit_is_refused_on_every_path(self, size, use_exact):
         # b2_f2 = 2: one plane fits inside the mod-2 rank, three overflow it.
         p = ManifoldProfile("two", 0, 4, 0)
-        planes = fam(*(datum(1, 4, "10") for _ in range(size)), dim=2)
+        planes = family(*(datum(1, 4, "10") for _ in range(size)), dim=2)
         audit = plane_family_audit(p, planes, use_exact=use_exact)
         assert (audit.zero_sum_indices is None) is (size == 1)
-        for family in (planes, fam(datum(2, 8, "01"), dim=2)):
+        for audited in (planes, family(datum(2, 8, "01"), dim=2)):
             with pytest.raises(ValueError) as info:
-                plane_family_audit(p, family, use_exact=use_exact, effort_limit=-5)
+                plane_family_audit(p, audited, use_exact=use_exact, effort_limit=-5)
             assert type(info.value) is ValueError
             assert str(info.value) == "effort_limit must be nonnegative"
 
     def test_majority_tie_breaks_nonnegative(self):
         p = ManifoldProfile("two", 0, 4, 0)
         audit = plane_family_audit(
-            p, fam(datum(1, 4, "10"), datum(1, -4, "01"), dim=2)
+            p, family(datum(1, 4, "10"), datum(1, -4, "01"), dim=2)
         )
         assert audit.majority_sign is SignClass.NON_NEGATIVE
         assert audit.majority_indices == (1,)
@@ -302,7 +294,7 @@ class TestPlaneFamilyAudit:
     def test_majority_fits_in_rank_skips_zero_sum(self):
         p = ManifoldProfile("two", 0, 4, 0)
         audit = plane_family_audit(
-            p, fam(datum(1, 4, "10"), datum(1, -4, "01"), dim=2)
+            p, family(datum(1, 4, "10"), datum(1, -4, "01"), dim=2)
         )
         assert audit.zero_sum_indices is None
         assert audit.subfamily_report is None

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
-import io
 import pickle
 import re
 from unittest import mock
@@ -12,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from excess_kit import cli, fileio, reports
+from excess_kit import fileio, reports
 from excess_kit.engine import excess_check, plane_family_audit
 from excess_kit.errors import (
     CatalogError, ExcessKitError, NegativeB2, ParseError, SignatureExceedsRank,
@@ -30,19 +28,12 @@ from excess_kit.fileio import (
 from excess_kit.gf2 import Gf2Vector
 from excess_kit.manifolds import ManifoldProfile, validate_profile
 from excess_kit.surfaces import SurfaceDatum, SurfaceFamily, tube
+from conftest import LIMITS
+from helpers import invoke, write
 from test_fuzz import FUZZ
 
-
-def write(tmp_path, name: str, text: str) -> str:
-    p = tmp_path / name
-    p.write_text(text, encoding="utf-8")
-    return str(p)
-
-
-def write_bytes(tmp_path, name: str, data: bytes) -> str:
-    p = tmp_path / name
-    p.write_bytes(data)
-    return str(p)
+# The integer digit cap at Python's default int/str limit.
+CAP = LIMITS[0][1]
 
 
 def assert_decode_error(err, path: str, line: int) -> None:
@@ -76,7 +67,7 @@ class TestVectorFile:
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_non_utf8_names_line(self, tmp_path, newline):
         data = newline.join([b"# vectors", b"10", b"0\xff"]) + newline
-        path = write_bytes(tmp_path, "v.txt", data)
+        path = write(tmp_path, "v.txt", data)
         with pytest.raises(ParseError) as err:
             read_vector_file(path)
         assert_decode_error(err, path, 3)
@@ -129,10 +120,7 @@ class TestProfileFile:
         with pytest.raises(ParseError) as err:
             read_catalog_file(catalog)
         assert str(err.value) == f"{catalog}:5: {fault}"
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            assert cli.run(["bound", "--manifold", path]) == 2
-        assert stderr.getvalue() == f"{path}:4: {fault}\n"
+        assert invoke("bound", "--manifold", path) == (2, "", f"{path}:4: {fault}\n")
 
     def test_invalid_profile_rejected_at_load(self, tmp_path):
         from excess_kit.errors import NegativeB2
@@ -156,7 +144,7 @@ class TestProfileFile:
         assert str(err.value).startswith(f"{path}:3: x: |signature| = 3")
 
     def test_non_utf8_names_line(self, tmp_path):
-        path = write_bytes(
+        path = write(
             tmp_path, "p.txt", b"name: d\xe9mo\nsignature: 1\neuler_characteristic: 3\nb1_f2: 0\n"
         )
         with pytest.raises(ParseError) as err:
@@ -208,7 +196,7 @@ class TestCatalog:
         assert str(err.value).startswith(f"{path}:8: bad: b2_f2 = ")
 
     def test_non_utf8_names_line(self, tmp_path):
-        path = write_bytes(
+        path = write(
             tmp_path,
             "cat.txt",
             b"[profile]\nname: a\nsignature: 0\neuler_characteristic: 2\nb1_f2: 0\xc3",
@@ -341,7 +329,7 @@ class TestFamilyFile:
         assert str(err.value).startswith(f"{path}:3:")
 
     def test_non_utf8_names_line(self, tmp_path):
-        path = write_bytes(
+        path = write(
             tmp_path,
             "f.txt",
             b"ambient: s4\n[surface]\ngenus: 1\neuler_number: 2\nclass: \x80\n",
@@ -436,7 +424,7 @@ class TestLineBreaks:
     @pytest.mark.parametrize("sep", NOT_LINE_BREAKS)
     def test_decode_error_line_counts_only_line_breaks(self, tmp_path, sep):
         data = f"# a{sep}b\n10\n".encode("utf-8") + b"0\xff\n"
-        path = write_bytes(tmp_path, "v.txt", data)
+        path = write(tmp_path, "v.txt", data)
         with pytest.raises(ParseError) as err:
             read_vector_file(path)
         assert_decode_error(err, path, 3)
@@ -545,8 +533,10 @@ class TestPlainLayoutFaults:
         assert message == f"{path}:{layout[1] + 1}: field 'genus' must be >= 1, got 0"
 
     def test_long_euler_number(self, tmp_path, layout):
-        path, message = self.fault(tmp_path, layout, "s4", ("1", "9" * 4001, ""))
-        assert message == f"{path}:{layout[1] + 2}: field 'euler_number' has more than 4000 digits"
+        path, message = self.fault(tmp_path, layout, "s4", ("1", "9" * (CAP + 1), ""))
+        assert message == (
+            f"{path}:{layout[1] + 2}: field 'euler_number' has more than {CAP} digits"
+        )
 
     def test_class_of_the_wrong_length(self, tmp_path, layout):
         path, message = self.fault(tmp_path, layout, "two", ("1", "4", "101"))
@@ -565,7 +555,7 @@ class TestPlainLayoutFaults:
 INTS = st.one_of(
     st.integers(-20, 20).map(str),
     st.integers(0, 20).map(lambda n: f"+{n}"),
-    st.sampled_from(["0", "-0", "+0", "007", "9" * 4001, "-" + "1" * 4001]),
+    st.sampled_from(["0", "-0", "+0", "007", "9" * (CAP + 1), "-" + "1" * (CAP + 1)]),
 )
 
 
@@ -669,11 +659,10 @@ class TestPlainLayout:
         self, tmp_path_factory, kind, data
     ):
         text = data.draw(plain_texts() if kind == "plain" else near_plain_texts(kind))
-        path = tmp_path_factory.mktemp("plain") / "f.txt"
-        path.write_bytes(text.encode("utf-8"))
-        fast = family_outcome(str(path))
+        path = write(tmp_path_factory.mktemp("plain"), "f.txt", text)
+        fast = family_outcome(path)
         with mock.patch.object(fileio, "_plain_family", lambda text: None):
-            assert family_outcome(str(path)) == fast
+            assert family_outcome(path) == fast
 
 
 def checked_outcome(path: str):
@@ -694,9 +683,7 @@ class TestPlainValues:
     @FUZZ
     @given(text=plain_texts())
     def test_values_and_faults_do_not_depend_on_the_value_step(self, tmp_path_factory, text):
-        path = tmp_path_factory.mktemp("plain") / "f.txt"
-        path.write_bytes(text.encode("utf-8"))
-        checked_outcome(str(path))
+        checked_outcome(write(tmp_path_factory.mktemp("plain"), "f.txt", text))
 
     @pytest.mark.parametrize(
         "sign, over",
@@ -753,9 +740,9 @@ class TestWhenTheScanRuns:
             ("0", "4", ""),
             ("-1", "4", ""),
             ("+0", "4", ""),
-            ("1", "9" * 4001, ""),
+            ("1", "9" * (CAP + 1), ""),
             ("1", "4", "1"),
-            ("1", "-" + "7" * 4000, ""),
+            ("1", "-" + "7" * CAP, ""),
         ],
         ids=[
             "genus-0",
@@ -773,7 +760,7 @@ class TestWhenTheScanRuns:
 
     def test_a_crlf_file_is_scanned_once(self, tmp_path):
         text = plain_family("two", [("1", "4", "10"), ("2", "-3", "01")], "\n")
-        path = write_bytes(tmp_path, "f.txt", text.replace("\n", "\r\n").encode("ascii"))
+        path = write(tmp_path, "f.txt", text.replace("\n", "\r\n").encode("ascii"))
         calls, (_, family) = self.scanned(path)
         assert calls == 1 and family.euler_numbers() == (4, -3)
 
@@ -861,7 +848,7 @@ def layout_file(tmp_path, layout: str) -> tuple[str, str]:
     """(path, text) of PLANE_ROWS in the given layout; only the plain one takes the fast step."""
     text = LAYOUTS[layout](plain_family("two", PLANE_ROWS, "\n"))
     assert (fileio._plain_family(text) is None) == (layout != "plain")
-    return write_bytes(tmp_path, "f.txt", text.encode("ascii")), text
+    return write(tmp_path, "f.txt", text.encode("ascii")), text
 
 
 class TestColumnFamily:

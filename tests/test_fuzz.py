@@ -13,8 +13,6 @@ must print exactly one stderr line, located as `path:line:`.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import os
 import re
 from unittest import mock
@@ -22,8 +20,8 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excess_kit import cli
 from excess_kit.fileio import CATALOG_ENV_VAR
+from helpers import invoke, write
 
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=50)
 
@@ -119,14 +117,8 @@ def run_clean(argv: list[str], catalog: str | None = None) -> tuple[int, str]:
 
     Returns the exit code and the stderr text.
     """
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ):
-        os.environ.pop(CATALOG_ENV_VAR, None)
-        if catalog is not None:
-            os.environ[CATALOG_ENV_VAR] = catalog
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.run(argv)
-    message = err.getvalue()
+    with mock.patch.dict(os.environ, {} if catalog is None else {CATALOG_ENV_VAR: catalog}):
+        code, _, message = invoke(*argv)
     assert code in (0, 1, 2), (argv, code, message)
     assert "Traceback" not in message
     assert len(message.splitlines()) <= 1, message
@@ -140,12 +132,6 @@ def assert_located(code: int, message: str, path: str) -> None:
         assert message == ""
     else:
         assert re.fullmatch(re.escape(path) + r":\d+: [^\n]+\n", message), message
-
-
-def write(directory, name: str, data: bytes) -> str:
-    path = directory / name
-    path.write_bytes(data)
-    return str(path)
 
 
 @FUZZ

@@ -17,11 +17,7 @@ from excess_kit.gf2 import (
     zero_sum_subcollection,
 )
 
-from helpers import brute_rank, random_collection, xor_of
-
-
-def vecs(*strings: str) -> Gf2Collection:
-    return Gf2Collection.from_strings(list(strings))
+from helpers import brute_rank, random_collection, vecs, xor_of
 
 
 class TestGf2Vector:

@@ -291,7 +291,9 @@ def render_cli() -> str:
     """Exit code, stdout and stderr of each CLI case, temporary paths masked.
 
     A case runs with the extra catalog it names, and with none otherwise,
-    whatever the environment says.
+    whatever the environment says. This sets the catalog itself, where
+    other tests rely on conftest.py, because the module also runs as a
+    script, outside pytest, to write the golden files.
     """
     out = []
     with tempfile.TemporaryDirectory() as tmp:

@@ -16,7 +16,6 @@ import sys
 import pytest
 
 import excess_kit
-from excess_kit.fileio import CATALOG_ENV_VAR
 
 PACKAGE = pathlib.Path(excess_kit.__file__).parent
 SUBMODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -36,11 +35,10 @@ def loaded_after(tmp_path, code: str) -> tuple[str, set[str]]:
         f"import sys\nresult = None\n{code}\n"
         "print(result, *sorted(m for m in sys.modules if m.startswith('excess_kit')))"
     )
-    env = {k: v for k, v in os.environ.items() if k != CATALOG_ENV_VAR}
-    env["PYTHONPATH"] = str(PACKAGE.parent)
     done = subprocess.run(
         [sys.executable, "-c", script],
-        env=env, cwd=tmp_path, capture_output=True, encoding="utf-8", timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        cwd=tmp_path, capture_output=True, encoding="utf-8", timeout=60, check=True,
     )
     result, *modules = done.stdout.splitlines()[-1].split()
     return result, set(modules)

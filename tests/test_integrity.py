@@ -15,6 +15,7 @@ import excess_kit
 from excess_kit import cli, engine
 from excess_kit.errors import ParseError
 from excess_kit.fileio import parse_decimal, read_family_file
+from helpers import invoke, write
 
 NON_ASCII_OR_GROUPED = ("١٢", "５", "1_000")
 
@@ -23,24 +24,15 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
 
-def invoke(capsys, *argv: str) -> tuple[int, str, str]:
-    code = cli.run(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def test_unexpected_exception_exits_three_with_one_line(monkeypatch, tmp_path, capsys):
-    family = tmp_path / "family.txt"
-    family.write_text(
-        "ambient: s4\n[surface]\ngenus: 1\neuler_number: 2\nclass:\n", encoding="utf-8"
+def test_unexpected_exception_exits_three_with_one_line(monkeypatch, tmp_path):
+    family = write(
+        tmp_path, "family.txt", "ambient: s4\n[surface]\ngenus: 1\neuler_number: 2\nclass:\n"
     )
     # A ValueError from inside the package is a fault too, not an input error.
     for error in (AssertionError, ValueError):
         broken = mock.Mock(side_effect=error("chain\narithmetic broke"))
         monkeypatch.setattr(engine, "excess_check", broken)
-        code, out, err = invoke(
-            capsys, "check", "--manifold", "s4", "--family", str(family)
-        )
+        code, out, err = invoke("check", "--manifold", "s4", "--family", family)
         assert code == 3
         assert out == ""
         assert err == f"internal error: {error.__name__}: chain arithmetic broke\n"
@@ -62,13 +54,11 @@ def test_parse_decimal_rejects_everything_else(text):
 
 @pytest.mark.parametrize("text", NON_ASCII_OR_GROUPED)
 def test_family_file_rejects_non_ascii_integers_with_line(tmp_path, text):
-    family = tmp_path / "family.txt"
-    family.write_text(
-        f"ambient: s4\n[surface]\ngenus: 1\neuler_number: {text}\nclass:\n",
-        encoding="utf-8",
+    family = write(
+        tmp_path, "family.txt", f"ambient: s4\n[surface]\ngenus: 1\neuler_number: {text}\nclass:\n"
     )
     with pytest.raises(ParseError) as exc_info:
-        read_family_file(str(family))
+        read_family_file(family)
     assert exc_info.value.line == 4
     assert str(exc_info.value).startswith(f"{family}:4: field 'euler_number'")
 
@@ -82,8 +72,8 @@ def test_family_file_rejects_non_ascii_integers_with_line(tmp_path, text):
         ("zerosum", "--vectors", "unused.txt", "--effort"),
     ],
 )
-def test_cli_integer_options_reject_non_ascii(capsys, argv, text):
-    code, out, err = invoke(capsys, *argv, text)
+def test_cli_integer_options_reject_non_ascii(argv, text):
+    code, out, err = invoke(*argv, text)
     assert code == 2
     assert out == ""
     assert "invalid int value" in err

@@ -5,9 +5,11 @@ which PYTHONINTMAXSTRDIGITS may lower to 640. Every integer field and
 integer option is capped at 4000 digits, or 300 under a lower limit (the
 `cap` fixture sets each limit), so whatever is derived from accepted input
 (sums over many members included) prints and round-trips, and one digit
-more is a located input error. Messages about huge internal values (the
-exact solver's node count, the admissible Euler numbers of a huge genus)
-must not depend on that conversion limit either.
+more is a located input error. The other tests run at Python's default
+limit, which conftest.py holds whatever the environment says. Messages
+about huge internal values (the exact solver's node count, the admissible
+Euler numbers of a huge genus) must not depend on that conversion limit
+either.
 """
 
 from __future__ import annotations
@@ -30,35 +32,15 @@ from excess_kit.errors import EffortExceeded
 from excess_kit.fileio import CATALOG_ENV_VAR, parse_decimal, read_family_file
 from excess_kit.gf2 import SubsetCertificate
 from excess_kit.reports import canonical_json
+from conftest import LIMITS
+from helpers import invoke, write
 from test_fuzz import FUZZ
 
-CAP = 4000
-
-
-class _CappedStdout(io.StringIO):
-    """A stdout that closes, as a pipe would, past 2^24 characters.
-
-    So a command that streams without end (massey of a genus past the cap,
-    were the cap not enforced) fails its test instead of filling memory.
-    """
-
-    def write(self, text: str) -> int:
-        if self.tell() + len(text) > 1 << 24:
-            raise BrokenPipeError(32, "Broken pipe")
-        return super().write(text)
-
-
-def invoke(*argv: str) -> tuple[int, str, str]:
-    out, err = _CappedStdout(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
-def write(directory, name: str, text: str) -> str:
-    path = directory / name
-    path.write_text(text, encoding="utf-8")
-    return str(path)
+# The cap at Python's default int/str limit, which every test but the
+# `cap` fixture's runs under; and the lowest limit that
+# PYTHONINTMAXSTRDIGITS accepts, with the cap under it.
+CAP = LIMITS[0][1]
+LOWEST_LIMIT, LOWEST_CAP = LIMITS[-1]
 
 
 def family_text(members: list[tuple[str, str]], ambient: str = "s4") -> str:
@@ -189,9 +171,7 @@ def test_profile_and_catalog_fields_near_the_cap(tmp_path_factory, b1):
         (catalog, 1, {CATALOG_ENV_VAR: catalog}, ("catalog", "show", "big")),
     ]
     for path, offset, env, argv in runs:
-        with mock.patch.dict(os.environ):
-            os.environ.pop(CATALOG_ENV_VAR, None)
-            os.environ.update(env)
+        with mock.patch.dict(os.environ, env):
             code, out, err = invoke(*argv)
         if not within_cap(chi):
             assert (code, out) == (2, "")
@@ -233,10 +213,6 @@ def test_integer_options_near_the_cap(tmp_path_factory, genus, euler, effort):
         assert err.endswith(f"argument --effort: has more than {CAP} digits\n")
 
 
-# The lowest int/str limit that PYTHONINTMAXSTRDIGITS accepts, and the cap under it.
-LOWEST_LIMIT, LOWEST_CAP = 640, 340
-
-
 def run_under_the_lowest_limit(
     argv: tuple[str, ...], env: dict[str, str], head: int = 0
 ) -> tuple[int, str, str]:
@@ -246,11 +222,9 @@ def run_under_the_lowest_limit(
     `| head -c` would close it.
     """
     source = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {k: v for k, v in os.environ.items() if k != CATALOG_ENV_VAR} | env
-    env |= {"PYTHONPATH": source, "PYTHONINTMAXSTRDIGITS": str(LOWEST_LIMIT)}
     with subprocess.Popen(
         [sys.executable, "-m", "excess_kit.cli", *argv],
-        env=env,
+        env=os.environ | env | {"PYTHONPATH": source, "PYTHONINTMAXSTRDIGITS": str(LOWEST_LIMIT)},
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -314,9 +288,9 @@ def test_every_command_under_the_lowest_interpreter_limit(tmp_path, digits):
 def test_no_interpreter_limit_getter_means_the_4000_digit_cap(monkeypatch):
     # Python 3.10.0 to 3.10.6 have no sys.get_int_max_str_digits, and no limit.
     monkeypatch.delattr(sys, "get_int_max_str_digits")
-    assert parse_decimal("9" * 4000) == 10**4000 - 1
-    with pytest.raises(ValueError, match="^more than 4000 digits$"):
-        parse_decimal("9" * 4001)
+    assert parse_decimal("9" * CAP) == 10**CAP - 1
+    with pytest.raises(ValueError, match=f"^more than {CAP} digits$"):
+        parse_decimal("9" * (CAP + 1))
 
 
 class _OneWrite:

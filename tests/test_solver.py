@@ -18,14 +18,10 @@ from excess_kit.gf2 import (
     zero_sum_subcollection,
 )
 
-from helpers import brute_best_zero_sum, brute_rank, random_collection, xor_of
+from helpers import brute_best_zero_sum, brute_rank, random_collection, vecs, xor_of
 
 # The bytes per syndrome DP table entry the README states.
 DP_BYTES_PER_ENTRY = 10
-
-
-def vecs(*strings: str) -> Gf2Collection:
-    return Gf2Collection.from_strings(list(strings))
 
 
 def test_examples():

@@ -23,15 +23,8 @@ from excess_kit.surfaces import (
     sign_class,
     tube,
 )
+from helpers import datum, family
 from test_fuzz import FUZZ
-
-
-def datum(g: int, e: int, bits: str = "") -> SurfaceDatum:
-    return SurfaceDatum(genus=g, euler_number=e, mod2_class=Gf2Vector.from_string(bits))
-
-
-def family(*members: SurfaceDatum, dim: int = 0) -> SurfaceFamily:
-    return SurfaceFamily(ambient_dim=dim, members=members)
 
 
 class TestSurfaceDatum:
