@@ -1,4 +1,4 @@
-"""Fixtures shared by the test modules, and tier-1's environment."""
+"""Tier-1's environment, its one Hypothesis profile, and the shared fixtures."""
 
 from __future__ import annotations
 
@@ -7,24 +7,17 @@ import sys
 from typing import Iterator
 
 import pytest
+from hypothesis import settings
 
 from excess_kit.fileio import CATALOG_ENV_VAR
+from helpers import LIMITS, int_limit
 
-# (int/str limit, integer digit cap): Python's default limit, no limit, and
-# the lowest limit that PYTHONINTMAXSTRDIGITS accepts. The cap is 4000
-# digits, or 300 under a lower limit.
-LIMITS = [(4300, 4000), (0, 4000), (640, 340)]
-
-
-@contextlib.contextmanager
-def int_limit(limit: int) -> Iterator[None]:
-    """The interpreter's int/str conversion limit set to `limit`, then restored."""
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(before)
+# Every @given test runs with these settings: the same examples on every run,
+# no time limit per example and no example database written.
+settings.register_profile(
+    "tier-1", derandomize=True, deadline=None, database=None, max_examples=50
+)
+settings.load_profile("tier-1")
 
 
 @pytest.fixture(autouse=True)

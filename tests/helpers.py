@@ -1,4 +1,4 @@
-"""Shared runners, constructors, generators and brute-force oracles for the tests.
+"""Shared runners, int/str limits, constructors, generators and brute-force oracles.
 
 The oracles deliberately avoid the library's own code paths: the subset-XOR
 table is built with numpy slice doubling, and rank is read off the size of
@@ -11,6 +11,8 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -18,6 +20,22 @@ from excess_kit import cli
 from excess_kit.gf2 import Gf2Collection, Gf2Vector
 from excess_kit.manifolds import ManifoldProfile
 from excess_kit.surfaces import SurfaceDatum, SurfaceFamily
+
+# (int/str limit, integer digit cap): Python's default limit, no limit, and
+# the lowest limit that PYTHONINTMAXSTRDIGITS accepts. The cap is 4000
+# digits, or 300 under a lower limit.
+LIMITS = [(4300, 4000), (0, 4000), (640, 340)]
+
+
+@contextlib.contextmanager
+def int_limit(limit: int) -> Iterator[None]:
+    """The interpreter's int/str conversion limit set to `limit`, then restored."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 class _CappedStdout(io.StringIO):
@@ -67,6 +85,25 @@ def random_collection(
     m = rng.randint(min_len, max_len)
     vectors = tuple(Gf2Vector(dim, rng.getrandbits(dim)) for _ in range(m))
     return Gf2Collection(dim=dim, vectors=vectors)
+
+
+def ranked_collection(rng: random.Random, m: int, r: int) -> Gf2Collection:
+    """m vectors of rank r, 0 <= r <= m, in random order.
+
+    The r basis vectors have distinct top bits, and the other m - r are
+    random combinations of them, the zero vector included.
+    """
+    basis = [(1 << k) | rng.getrandbits(k) for k in range(r)]
+    bits = list(basis)
+    for _ in range(m - r):
+        acc = 0
+        for b in basis:
+            if rng.getrandbits(1):
+                acc ^= b
+        bits.append(acc)
+    rng.shuffle(bits)
+    dim = max(r, 1)
+    return Gf2Collection(dim, tuple(Gf2Vector(dim, b) for b in bits))
 
 
 def xor_of(collection: Gf2Collection, indices) -> int:

@@ -35,15 +35,9 @@ from excess_kit.reports import (
 )
 from excess_kit.surfaces import SurfaceDatum, SurfaceFamily, TubedSurface
 
-from helpers import brute_best_zero_sum, random_valid_profile, xor_of
+from helpers import brute_best_zero_sum, datum, family, random_valid_profile, xor_of
 
 S4 = ManifoldProfile("s4", 0, 2, 0)
-
-
-def single(g: int, e: int, dim: int = 0) -> SurfaceFamily:
-    return SurfaceFamily(
-        dim, (SurfaceDatum(genus=g, euler_number=e, mod2_class=Gf2Vector.zero(dim)),)
-    )
 
 
 def report(name: str, detail: str) -> None:
@@ -57,7 +51,7 @@ def test_criterion_1_massey_sweep_on_the_sphere():
     checks = 0
     for g in range(1, 65):
         for e in range(-200, 201):
-            verdict = excess_check(S4, single(g, e)).verdict
+            verdict = excess_check(S4, family(datum(g, e))).verdict
             expected = (
                 Verdict.OBSTRUCTED if abs(e) > 2 * g else Verdict.BOUND_SATISFIED
             )
@@ -158,7 +152,7 @@ def test_criterion_5_plane_budget_of_the_sphere():
     for profile in zero_budget_profiles:
         assert plane_bound(profile) == 0 and profile.b2_f2 == 0
         for e in (3, 4, -5, 200):
-            audit = plane_family_audit(profile, single(1, e))
+            audit = plane_family_audit(profile, family(datum(1, e)))
             assert audit.verdict is Verdict.OBSTRUCTED
     report("criterion 5 plane budgets", "B(s4)=0; 12 single-plane audits obstructed")
 
@@ -186,8 +180,7 @@ def test_criterion_6_traces_self_validate():
                     mod2_class=Gf2Vector(dim, bits),
                 )
             )
-        family = SurfaceFamily(dim, tuple(members))
-        result = excess_check(m, family)
+        result = excess_check(m, SurfaceFamily(dim, tuple(members)))
         direct = (
             4 * abs(m.signature)
             + 8 * m.b1_f2

@@ -25,9 +25,7 @@ from excess_kit.gf2 import (
     zero_sum_subcollection,
 )
 
-from helpers import xor_of
-from test_fuzz import FUZZ
-from test_solver import ranked_collection
+from helpers import ranked_collection, xor_of
 
 
 @st.composite
@@ -47,7 +45,6 @@ def collections(draw) -> Gf2Collection:
     return Gf2Collection(dim, tuple(Gf2Vector(dim, b) for b in vectors))
 
 
-@FUZZ
 @given(collections())
 def test_certificate_is_the_rest_and_its_basis_coordinates(collection):
     basis = greedy_basis(collection)

@@ -28,9 +28,7 @@ from excess_kit.fileio import (
 from excess_kit.gf2 import Gf2Vector
 from excess_kit.manifolds import ManifoldProfile, validate_profile
 from excess_kit.surfaces import SurfaceDatum, SurfaceFamily, tube
-from conftest import LIMITS
-from helpers import invoke, write
-from test_fuzz import FUZZ
+from helpers import LIMITS, invoke, write
 
 # The integer digit cap at Python's default int/str limit.
 CAP = LIMITS[0][1]
@@ -635,7 +633,6 @@ def family_outcome(path: str):
 class TestPlainLayout:
     """The plain-layout fast path gives the line scan's fields, or nothing."""
 
-    @FUZZ
     @given(text=plain_texts())
     def test_plain_text_gives_the_scan_fields(self, text):
         ambient, blocks = fileio._plain_family(text)
@@ -647,13 +644,11 @@ class TestPlainLayout:
         ]
 
     @pytest.mark.parametrize("kind", MUTATIONS)
-    @FUZZ
     @given(data=st.data())
     def test_near_plain_text_is_left_to_the_scan(self, kind, data):
         assert fileio._plain_family(data.draw(near_plain_texts(kind))) is None
 
     @pytest.mark.parametrize("kind", ("plain",) + MUTATIONS)
-    @FUZZ
     @given(data=st.data())
     def test_values_and_faults_do_not_depend_on_the_fast_path(
         self, tmp_path_factory, kind, data
@@ -680,7 +675,6 @@ class TestPlainValues:
     def blank(self, request):
         return request.param
 
-    @FUZZ
     @given(text=plain_texts())
     def test_values_and_faults_do_not_depend_on_the_value_step(self, tmp_path_factory, text):
         checked_outcome(write(tmp_path_factory.mktemp("plain"), "f.txt", text))
@@ -854,7 +848,6 @@ def layout_file(tmp_path, layout: str) -> tuple[str, str]:
 class TestColumnFamily:
     """A family file's family holds columns; it reads as the member-built family."""
 
-    @FUZZ
     @given(text=readable_plain_texts())
     def test_the_column_family_agrees_with_the_checked_family(self, tmp_path_factory, text):
         path = str(tmp_path_factory.mktemp("plain") / "f.txt")

@@ -17,13 +17,11 @@ import os
 import re
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from excess_kit.fileio import CATALOG_ENV_VAR
 from helpers import invoke, write
-
-FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=50)
 
 FAMILY = (
     b"# family\nambient: s4\n\n[surface]\ngenus: 1\neuler_number: 4\nclass:\n"
@@ -134,7 +132,6 @@ def assert_located(code: int, message: str, path: str) -> None:
         assert re.fullmatch(re.escape(path) + r":\d+: [^\n]+\n", message), message
 
 
-@FUZZ
 @given(data=inputs(FAMILY))
 def test_family_files(tmp_path_factory, data):
     family = write(tmp_path_factory.mktemp("fuzz"), "family.txt", data)
@@ -143,7 +140,6 @@ def test_family_files(tmp_path_factory, data):
     run_clean(["audit", "--manifold", "s4", "--planes", family])
 
 
-@FUZZ
 @given(data=inputs(PROFILE))
 def test_profile_files(tmp_path_factory, data):
     directory = tmp_path_factory.mktemp("fuzz")
@@ -158,7 +154,6 @@ def test_profile_files(tmp_path_factory, data):
     run_clean(["audit", "--manifold", profile, "--planes", family])
 
 
-@FUZZ
 @given(data=inputs(CATALOG))
 def test_catalog_files(tmp_path_factory, data):
     directory = tmp_path_factory.mktemp("fuzz")
@@ -173,21 +168,18 @@ def test_catalog_files(tmp_path_factory, data):
     run_clean(["audit", "--manifold", "extra", "--planes", family], catalog)
 
 
-@FUZZ
 @given(data=inputs(VECTORS))
 def test_vector_files(tmp_path_factory, data):
     vectors = write(tmp_path_factory.mktemp("fuzz"), "vectors.txt", data)
     run_clean(["zerosum", "--vectors", vectors])
 
 
-@FUZZ
 @given(data=head_edits(FAMILY, b"[surface]"))
 def test_family_head_edits(tmp_path_factory, data):
     family = write(tmp_path_factory.mktemp("fuzz"), "family.txt", data)
     assert_located(*run_clean(["tube", "--family", family]), family)
 
 
-@FUZZ
 @given(data=head_edits(CATALOG_HEAD, b"[profile]"))
 def test_catalog_head_edits(tmp_path_factory, data):
     catalog = write(tmp_path_factory.mktemp("fuzz"), "catalog.txt", data)

@@ -12,19 +12,12 @@ import pytest
 
 from excess_kit import cli, engine, gf2
 from excess_kit.engine import excess_check, plane_family_audit
-from excess_kit.gf2 import Gf2Collection, Gf2Vector, SubsetCertificate, zero_sum_subcollection
+from excess_kit.gf2 import Gf2Collection, SubsetCertificate, zero_sum_subcollection
 from excess_kit.manifolds import ManifoldProfile
-from excess_kit.surfaces import SurfaceDatum, SurfaceFamily
+from helpers import datum, family
 
 S4 = ManifoldProfile("s4", 0, 2, 0)
 TWO = ManifoldProfile("two", 0, 4, 0)  # b2_f2 = 2
-
-
-def fam(*members: tuple[int, int, str], dim: int = 0) -> SurfaceFamily:
-    return SurfaceFamily(
-        ambient_dim=dim,
-        members=tuple(SurfaceDatum(g, e, Gf2Vector.from_string(bits)) for g, e, bits in members),
-    )
 
 
 def test_an_untrue_trace_step_is_refused():
@@ -33,7 +26,7 @@ def test_an_untrue_trace_step_is_refused():
 
 
 def test_the_trace_has_one_entry_per_step():
-    report = excess_check(S4, fam((1, 2, "")))
+    report = excess_check(S4, family(datum(1, 2)))
     assert len(report.trace) == len(report.trace.steps) > 0
 
 
@@ -49,7 +42,7 @@ def break_the_budget(monkeypatch):
 def test_an_obstruction_without_a_failing_cover_comparison_is_refused(monkeypatch):
     break_the_budget(monkeypatch)
     with pytest.raises(AssertionError, match="^obstructed without a failing cover comparison$"):
-        excess_check(S4, fam((1, 2, "")))
+        excess_check(S4, family(datum(1, 2)))
 
 
 def test_the_cli_exits_3_not_1_on_a_refused_obstruction(monkeypatch, tmp_path, capsys):
@@ -69,14 +62,14 @@ def test_an_empty_exact_certificate_on_overflow_is_refused(monkeypatch):
         engine, "max_zero_sum_subset", lambda classes, limit: SubsetCertificate(frozenset())
     )
     with pytest.raises(AssertionError, match="^exact certificate empty despite overflow$"):
-        plane_family_audit(S4, fam((1, 4, "")), use_exact=True, effort_limit=1 << 10)
+        plane_family_audit(S4, family(datum(1, 4)), use_exact=True, effort_limit=1 << 10)
 
 
 def test_a_subfamily_whose_classes_do_not_sum_to_zero_is_refused(monkeypatch):
     monkeypatch.setattr(
         engine, "zero_sum_subcollection", lambda classes: SubsetCertificate(frozenset({1}))
     )
-    planes = fam((1, 4, "10"), (1, 4, "01"), (1, 4, "11"), dim=2)
+    planes = family(datum(1, 4, "10"), datum(1, 4, "01"), datum(1, 4, "11"), dim=2)
     with pytest.raises(AssertionError, match="^zero-sum subfamily failed hypotheses$"):
         plane_family_audit(TWO, planes)
 

@@ -1,4 +1,4 @@
-"""Exit codes, strict input, no bare asserts or generator-built tuples, names, README, launcher."""
+"""Exit codes, strict input, names, README, launcher, and the package and test source scans."""
 
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ NON_ASCII_OR_GROUPED = ("١٢", "５", "1_000")
 SRC = pathlib.Path(excess_kit.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+TESTS = ROOT / "tests"
 
 
 def test_unexpected_exception_exits_three_with_one_line(monkeypatch, tmp_path):
@@ -135,6 +136,26 @@ def test_the_tuple_scan_finds_generators_and_unsized_iterators():
         "tuple(sorted(y))\n"
     )
     assert tuple_over_iterator_lines(source) == [1, 2, 3]
+
+
+def test_no_test_file_imports_conftest_or_a_test_module():
+    # Two test directories each have a conftest, so `conftest` names
+    # whichever pytest loaded last; shared code lives in helpers.py.
+    offenders = []
+    for path in sorted(TESTS.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno}"
+                for name in names
+                if name == "conftest" or name.startswith("test_")
+            ]
+    assert offenders == []
 
 
 PUBLIC_NAMES = {

@@ -32,9 +32,7 @@ from excess_kit.errors import EffortExceeded
 from excess_kit.fileio import CATALOG_ENV_VAR, parse_decimal, read_family_file
 from excess_kit.gf2 import SubsetCertificate
 from excess_kit.reports import canonical_json
-from conftest import LIMITS
-from helpers import invoke, write
-from test_fuzz import FUZZ
+from helpers import LIMITS, invoke, write
 
 # The cap at Python's default int/str limit, which every test but the
 # `cap` fixture's runs under; and the lowest limit that
@@ -114,7 +112,6 @@ def within_cap(text: str) -> bool:
     return len(text.lstrip("+-")) <= CAP
 
 
-@FUZZ
 @given(text=near_cap())
 def test_parse_decimal_near_the_cap(text):
     if within_cap(text):
@@ -128,7 +125,6 @@ def test_parse_decimal_near_the_cap(text):
             raise AssertionError("an integer over the cap was accepted")
 
 
-@FUZZ
 @given(genus=near_cap(signed=False), euler=near_cap())
 def test_family_fields_near_the_cap(tmp_path_factory, genus, euler):
     directory = tmp_path_factory.mktemp("cap")
@@ -157,7 +153,6 @@ def profile_text(b1: str) -> str:
     )
 
 
-@FUZZ
 @given(b1=near_cap(signed=False))
 def test_profile_and_catalog_fields_near_the_cap(tmp_path_factory, b1):
     directory = tmp_path_factory.mktemp("cap")
@@ -190,7 +185,6 @@ def test_profile_and_catalog_fields_near_the_cap(tmp_path_factory, b1):
             assert read_family_file(family)[0].euler_characteristic == int(chi)
 
 
-@FUZZ
 @given(genus=near_cap(signed=False), euler=near_cap(), effort=near_cap(signed=False))
 def test_integer_options_near_the_cap(tmp_path_factory, genus, euler, effort):
     vectors = write(tmp_path_factory.mktemp("cap"), "vectors.txt", "10\n01\n11\n")

@@ -31,7 +31,6 @@ from excess_kit.surfaces import (
     massey_admissible_set,
     massey_check,
 )
-from test_fuzz import FUZZ
 
 S4 = ManifoldProfile("s4", 0, 2, 0)
 
@@ -67,7 +66,6 @@ def outcome(report) -> tuple:
     return report.verdict, report.lhs, report.rhs, report.failed_hypothesis
 
 
-@FUZZ
 @given(m=profiles(), n=profiles(), data=st.data())
 def test_connected_sum_monotonicity(m, n, data):
     family = data.draw(families(m.b2_f2))
@@ -92,7 +90,6 @@ def test_connected_sum_monotonicity(m, n, data):
         assert in_m.verdict is Verdict.OBSTRUCTED
 
 
-@FUZZ
 @given(m=profiles(), data=st.data())
 def test_tubing_two_same_sign_members_keeps_the_outcome(m, data):
     family = data.draw(families(m.b2_f2, min_size=2))
@@ -114,7 +111,6 @@ def test_tubing_two_same_sign_members_keeps_the_outcome(m, data):
     assert outcome(excess_check(m, tubed)) == outcome(excess_check(m, family))
 
 
-@FUZZ
 @given(data=st.data())
 def test_massey_admissible_same_sign_family_is_never_obstructed_in_s4(data):
     sign = data.draw(st.sampled_from((1, -1)))
@@ -131,7 +127,6 @@ def test_massey_admissible_same_sign_family_is_never_obstructed_in_s4(data):
     assert report.lhs <= report.rhs
 
 
-@FUZZ
 @given(m=profiles(), data=st.data())
 def test_permutation_and_orientation_reversal_keep_the_outcome(m, data):
     family = data.draw(families(m.b2_f2))
@@ -153,7 +148,6 @@ def test_permutation_and_orientation_reversal_keep_the_outcome(m, data):
     assert outcome(excess_check(reversed_m, reversed_family)) == expected
 
 
-@FUZZ
 @given(m=profiles(max_b2=2), data=st.data())
 def test_plane_family_over_its_budget_is_obstructed_in_both_modes(m, data):
     # Keep B, and so the exact solver's member count, small: D <= 8, B <= 20.

@@ -9,7 +9,7 @@ import math
 from collections import OrderedDict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from excess_kit.covers import branched_double_cover, consistency_check
@@ -26,8 +26,6 @@ from excess_kit.reports import (
 from excess_kit.surfaces import SurfaceDatum, SurfaceFamily, tube
 
 S4 = ManifoldProfile("s4", 0, 2, 0)
-
-FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=50)
 
 # Text the escaper must get right besides arbitrary characters: quotes,
 # backslashes, control characters, non-ASCII (astral too), lone surrogates.
@@ -128,14 +126,12 @@ def test_canonical_json_rejects_floats():
         canonical_json({"x": [{"a": 1}, {"b": [{"c": 0.5}]}]})
 
 
-@FUZZ
 @given(doc=buried(TREES, 4, 6))
 def test_canonical_json_matches_json_dumps(doc):
     assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)
 
 
 @pytest.mark.parametrize("holder", ["document", "dict", "list", "tuple"])
-@FUZZ
 @given(data=st.data())
 def test_canonical_json_rejects_a_float_at_any_depth(holder, data):
     bad = FLOATS
@@ -145,7 +141,6 @@ def test_canonical_json_rejects_a_float_at_any_depth(holder, data):
         canonical_json(data.draw(bad))
 
 
-@FUZZ
 @given(
     key=st.one_of(st.integers(), st.booleans(), st.none(), FLOATS, st.tuples(st.integers())),
     data=st.data(),
@@ -218,13 +213,11 @@ def same_keyed_lists(draw):
     return draw(st.sampled_from([list, tuple, _List]))(rows)
 
 
-@FUZZ
 @given(doc=buried(same_keyed_lists(), 0, 3))
 def test_same_keyed_dicts_match_json_dumps(doc):
     assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)
 
 
-@FUZZ
 @given(data=st.data())
 def test_same_keyed_dicts_reject_a_later_float_or_non_str_key(data):
     keys, rows = data.draw(same_keyed())

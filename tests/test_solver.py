@@ -18,7 +18,9 @@ from excess_kit.gf2 import (
     zero_sum_subcollection,
 )
 
-from helpers import brute_best_zero_sum, brute_rank, random_collection, vecs, xor_of
+from helpers import (
+    brute_best_zero_sum, brute_rank, random_collection, ranked_collection, vecs, xor_of,
+)
 
 # The bytes per syndrome DP table entry the README states.
 DP_BYTES_PER_ENTRY = 10
@@ -142,25 +144,6 @@ def test_tie_break_is_lexicographic():
     c2 = vecs("11", "11", "11")
     # any two of the three indices XOR to zero; lexicographically least wins
     assert max_zero_sum_subset(c2).sorted_indices() == (1, 2)
-
-
-def ranked_collection(rng: random.Random, m: int, r: int) -> Gf2Collection:
-    """m vectors of rank r, 0 <= r <= m, in random order.
-
-    The r basis vectors have distinct top bits, and the other m - r are
-    random combinations of them, the zero vector included.
-    """
-    basis = [(1 << k) | rng.getrandbits(k) for k in range(r)]
-    bits = list(basis)
-    for _ in range(m - r):
-        acc = 0
-        for b in basis:
-            if rng.getrandbits(1):
-                acc ^= b
-        bits.append(acc)
-    rng.shuffle(bits)
-    dim = max(r, 1)
-    return Gf2Collection(dim, tuple(Gf2Vector(dim, b) for b in bits))
 
 
 @pytest.mark.parametrize("strategy", [_scan_kernel, _trace_syndromes])

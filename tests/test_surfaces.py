@@ -24,7 +24,6 @@ from excess_kit.surfaces import (
     tube,
 )
 from helpers import datum, family
-from test_fuzz import FUZZ
 
 
 class TestSurfaceDatum:
@@ -218,7 +217,6 @@ def families(draw) -> SurfaceFamily:
     return SurfaceFamily(ambient_dim=dim, members=tuple(members))
 
 
-@FUZZ
 @given(fam=families())
 def test_tube_is_the_sum_of_its_members(fam):
     genus = sum(s.genus for s in fam.members)
@@ -231,7 +229,6 @@ def test_tube_is_the_sum_of_its_members(fam):
     )
 
 
-@FUZZ
 @given(fam=families())
 def test_sign_class_is_its_definition(fam):
     es = [s.euler_number for s in fam.members]
