@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from typing import Any, Callable, NoReturn
@@ -337,7 +338,13 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # The process is about to end, so its objects need no more collecting:
+    # frozen, they are skipped by the full collections the interpreter runs
+    # at exit, about 7 ms of a 72 ms command (2-core x86_64, Python 3.11).
+    # Flushes and atexit handlers still run. run itself freezes nothing.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

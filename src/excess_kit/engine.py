@@ -14,9 +14,11 @@ written out: it refuses an unknown relation, then stores each field with
 one write into the instance dict. The trace builder then refuses a step
 whose holds() is false, the test ProofTrace.replay applies. It is the
 package's only written-out constructor, kept because it is measured: a
-seed-1 screen cycle of the benchmark builds 5,205 steps, and a generated
-constructor with a __post_init__ check made that cycle about 1.04x slower
-(median of 300 alternating in-process cycles).
+seed-1 screen cycle of the benchmark builds 5,205 steps, and with a
+generated constructor and a __post_init__ check, ten alternating pairs of
+bench/run.py runs (CHANGES.md, 8d15bb2) read screen ops_per_s 0.939x at seed 1 (the generated
+one won 1 of 10), and exact op_ms_p50 1.037x at seed 1 and 1.020x at
+seed 2 (it lost 10 of 10 at each).
 
 plane_family_audit reads only the family's columns: the genus and |e|
 rules, the majority side and its class vectors come from the genus, Euler

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -414,25 +415,32 @@ def test_a_closed_stdout_exits_141_and_writes_no_stderr(tmp_path, monkeypatch, c
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     else:
         monkeypatch.setenv("PYTHONUNBUFFERED", "1")
-    result = run_with_a_closed_pipe(argv, "stdout", tmp_path)
+    result = run_in_a_process(argv, tmp_path, closed="stdout")
     assert (result.returncode, result.stderr) == (141, b"")
 
 
-def run_with_a_closed_pipe(argv: list[str], closed: str, cwd) -> subprocess.CompletedProcess:
-    """Run the CLI in a new process with `closed`, "stdout" or "stderr", a pipe with no reader.
+def run_in_a_process(
+    argv: list[str], cwd, closed: str | None = None, flags: tuple[str, ...] = ()
+) -> subprocess.CompletedProcess:
+    """Run `python [flags] -m excess_kit.cli argv` in cwd, with stdout and stderr captured.
 
-    The other stream is captured.
+    `closed`, "stdout" or "stderr", makes that stream a pipe with no reader instead.
     """
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    write_end = None
+    if closed is not None:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        streams[closed] = write_end
     try:
         return subprocess.run(
-            [sys.executable, "-m", "excess_kit.cli", *argv], env=env, cwd=cwd, timeout=60, **streams
+            [sys.executable, *flags, "-m", "excess_kit.cli", *argv],
+            env=env, cwd=cwd, timeout=60, **streams,
         )
     finally:
-        os.close(write_end)
+        if write_end is not None:
+            os.close(write_end)
 
 
 ERROR_ARGV = {
@@ -446,7 +454,7 @@ ERROR_ARGV = {
 def test_a_closed_stderr_keeps_exit_2_and_writes_no_stdout(tmp_path, error):
     # print() to a stderr with no reader raises BrokenPipeError; escaping
     # run, it would give the interpreter's status 1, the Obstructed code.
-    result = run_with_a_closed_pipe(ERROR_ARGV[error], "stderr", tmp_path)
+    result = run_in_a_process(ERROR_ARGV[error], tmp_path, closed="stderr")
     assert (result.returncode, result.stdout) == (2, b"")
 
 
@@ -496,3 +504,49 @@ def test_run_builds_one_parser_per_process(monkeypatch, capsys):
     assert (codes, len(calls)) == ([0, 2] * 3, 1)
     out = capsys.readouterr().out
     assert out == "-4 0 4\n" * 3
+
+
+BAD_FAMILY = "ambient: s4\n[surface]\ngenus: 1\neuler_number: 2\nklass:\n"
+# argv, exit code and stderr line count: a usage error prints argparse's
+# two usage lines at 80 columns, then its error line.
+PROCESS_COMMANDS = {
+    "check-json": (
+        ["check", "--manifold", "s4", "--family", "family.txt", "--format", "json"], 1, 0
+    ),
+    "audit-exact": (["audit", "--manifold", "s4", "--planes", "planes.txt", "--exact"], 1, 0),
+    "massey": (["massey", "--genus", "3"], 0, 0),
+    "parse-error": (["check", "--manifold", "s4", "--family", "bad.txt"], 2, 1),
+    "usage-error": (["check"], 2, 3),
+}
+
+
+def write_process_inputs(directory) -> None:
+    write(directory, "family.txt", S4_FAMILY_G2_E8)
+    write(directory, "planes.txt", S4_PLANE_E4)
+    write(directory, "bad.txt", BAD_FAMILY)
+
+
+@pytest.mark.parametrize("command", ["check-json", "usage-error"])
+def test_run_freezes_no_object(tmp_path, monkeypatch, command):
+    # main freezes the collector just before the process exits; run, which
+    # library callers use, leaves the collector as it found it.
+    write_process_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv, expected, _ = PROCESS_COMMANDS[command]
+    before = gc.get_freeze_count()
+    code, _, _ = invoke(*argv)
+    assert (code, gc.get_freeze_count()) == (expected, before)
+
+
+@pytest.mark.parametrize("command", PROCESS_COMMANDS)
+def test_main_in_dev_mode_gives_run_s_output_and_code(tmp_path, monkeypatch, command):
+    # main's exit path, the collector frozen and then sys.exit, under -X dev
+    # and -W error: a warning at shutdown (an unclosed file, say) would add
+    # to stderr or change the exit code.
+    write_process_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv, expected, lines = PROCESS_COMMANDS[command]
+    code, out, err = invoke(*argv)
+    result = run_in_a_process(argv, tmp_path, flags=("-X", "dev", "-W", "error"))
+    assert (result.returncode, result.stdout.decode(), result.stderr.decode()) == (code, out, err)
+    assert (code, err.count("\n")) == (expected, lines)

@@ -257,6 +257,29 @@ class TestPlaneFamilyAudit:
             plane_family_audit(S4, family(datum(1, 2)))
         with pytest.raises(EulerTooSmall):
             plane_family_audit(S4, family(datum(1, -1)))
+        # The first member with |e| <= 2, by its position and |e|: the
+        # members before it, with e -5 and e 3, are not picked.
+        planes = family(datum(1, 4), datum(1, -5), datum(1, 3), datum(1, -2), datum(1, 1))
+        with pytest.raises(EulerTooSmall) as err:
+            plane_family_audit(S4, planes)
+        assert str(err.value) == "member 4 has |e| = 2 <= 2; the count bound needs |e| > 2"
+
+    @pytest.mark.parametrize("use_exact", [False, True], ids=["constructive", "exact"])
+    def test_a_count_equal_to_b_is_not_obstructed(self, use_exact):
+        # CP2: signature 1, euler characteristic 3, b1 0, so D = 8 and B = 18.
+        # Nine planes with e = 3 and nine with e = -3, all of class 1: the
+        # count meets B without exceeding it, and the zero-sum subfamily's
+        # excess meets D. One more plane with e = 3 passes B.
+        cp2 = ManifoldProfile("cp2", 1, 3, 0)
+        planes = [datum(1, 3, "1")] * 9 + [datum(1, -3, "1")] * 9
+        audit = plane_family_audit(cp2, family(*planes, dim=1), use_exact=use_exact)
+        assert (audit.member_count, audit.d_of_m, audit.b_of_m) == (18, 8, 18)
+        assert audit.verdict is Verdict.BOUND_SATISFIED
+        sub = audit.subfamily_report
+        assert (sub.verdict, sub.lhs, sub.rhs) == (Verdict.BOUND_SATISFIED, 8, 8)
+        over = family(*planes, datum(1, 3, "1"), dim=1)
+        audit = plane_family_audit(cp2, over, use_exact=use_exact)
+        assert (audit.member_count, audit.verdict) == (19, Verdict.OBSTRUCTED)
 
     def test_refused_certificate_numbers_the_majority(self):
         # Members 2-7 are the majority; the refusal's certificate counts

@@ -70,6 +70,7 @@ class TestGf2Vector:
 
     def test_from_bits(self):
         assert Gf2Vector.from_bits([1, 0, 1]).to01() == "101"
+        assert Gf2Vector.from_bits([0, 1, 1]) == Gf2Vector(3, 0b110)
         with pytest.raises(ValueError):
             Gf2Vector.from_bits([0, 2])
 
@@ -86,6 +87,9 @@ class TestCollection:
         for bad in (0, 3, -1):
             with pytest.raises(ValueError):
                 c.vector(bad)
+
+    def test_no_strings_make_the_empty_collection_of_dimension_0(self):
+        assert Gf2Collection.from_strings([]) == Gf2Collection(0, ())
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):

@@ -183,6 +183,11 @@ def test_refusal_names_the_unit_of_the_cheaper_strategy():
         max_zero_sum_subset(c, effort_limit=1)
     assert exc_info.value.unit == "nodes"
     assert str(exc_info.value).startswith("exact search needs ~8 nodes, budget is 1; ")
+    # A tie goes to the scan. Reversed, "1" follows two zero vectors: DP
+    # tables of 1, 1 and 2 entries, 4 in all, and 2^(3 - 1) = 4 nodes.
+    with pytest.raises(EffortExceeded) as exc_info:
+        max_zero_sum_subset(vecs("1", "0", "0"), effort_limit=3)
+    assert (exc_info.value.needed, exc_info.value.unit) == (4, "nodes")
 
 
 def test_full_rank_solve_fits_a_budget_of_one():

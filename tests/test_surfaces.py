@@ -47,6 +47,9 @@ class TestSurfaceFamily:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             family(datum(1, 2, "10"), dim=3)
+        with pytest.raises(DimensionMismatch) as err:
+            family(datum(1, 2, "10"), datum(1, 2, "1"), datum(1, 2, "100"), dim=2)
+        assert str(err.value) == "member 2 has class dimension 1, family ambient dimension is 2"
 
 
 class TestTube:
